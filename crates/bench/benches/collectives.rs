@@ -1,26 +1,23 @@
-//! Benchmarks of the real shared-memory collectives through the
-//! [`Collective`] trait: tree vs ring vs auto across replica counts and
-//! payload sizes, up to gradient-scale payloads (4 Mi floats = 16 MiB,
-//! about the flattened gradient of an EfficientNet-B2).
-//!
-//! The small sizes are latency-bound (the tree should win), the large
-//! sizes bandwidth-bound (the ring should win); `auto` should track the
-//! better of the two on both ends — the same crossover the α–β cost
-//! model predicts for the pod interconnect.
+//! Benchmarks of the shared-memory all-reduce through the [`Collective`]
+//! trait: world size × payload, from a BN-statistics pair (16 floats) to
+//! gradient-scale buffers (3.5 Mi floats ≈ 14 MiB, about the flattened
+//! gradient of an EfficientNet-B0). Every `Backend` label runs this one
+//! transport, so the sweep has no label axis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ets_collective::{create_collective, Backend};
+use ets_collective::{create_collective, Backend, Collective};
 use std::thread;
 
-/// One full world: every replica runs `rounds` all-reduces of `elems`.
-fn run_backend(backend: Backend, replicas: usize, elems: usize, rounds: usize) {
-    let world = create_collective(backend, replicas);
+/// One persistent world: every replica runs `rounds` all-reduces of
+/// `elems`, after one warmup round that sizes the result shards.
+fn run_world(replicas: usize, elems: usize, rounds: usize) {
+    let world = create_collective(Backend::default(), replicas);
     let joins: Vec<_> = world
         .into_iter()
-        .map(|c| {
+        .map(|c: Box<dyn Collective>| {
             thread::spawn(move || {
                 let mut buf = vec![c.rank() as f32; elems];
-                for _ in 0..rounds {
+                for _ in 0..=rounds {
                     c.all_reduce_sum(&mut buf);
                 }
                 buf[0]
@@ -35,45 +32,21 @@ fn run_backend(backend: Backend, replicas: usize, elems: usize, rounds: usize) {
 fn bench_all_reduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("all_reduce");
     group.sample_size(10);
-    // 64 Ki floats exercises the latency/bandwidth boundary; 4 Mi floats
-    // (16 MiB) is a full gradient payload — the acceptance size.
     for &replicas in &[2usize, 4, 8] {
-        for &elems in &[1_024usize, 65_536, 4_194_304] {
-            // Skip the cross-product's most expensive corner at high
-            // replica counts to keep wall time sane; 4 replicas at 4 Mi
-            // still covers every backend at full payload.
-            if elems == 4_194_304 && replicas == 8 {
-                continue;
-            }
+        for &elems in &[16usize, 65_536, 1_048_576, 3_670_016] {
             group.throughput(Throughput::Bytes((elems * 4 * replicas) as u64));
-            for backend in Backend::ALL {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{backend}_r{replicas}"), elems),
-                    &elems,
-                    |b, &elems| b.iter(|| run_backend(backend, replicas, elems, 2)),
-                );
-            }
+            // Tiny payloads are latency-bound: amortize thread spawn over
+            // many rounds.
+            let rounds = if elems < 1024 { 1000 } else { 4 };
+            group.bench_with_input(
+                BenchmarkId::new(format!("r{replicas}"), elems),
+                &elems,
+                |b, &elems| b.iter(|| run_world(replicas, elems, rounds)),
+            );
         }
     }
     group.finish();
 }
 
-/// Steady-state round cost with a persistent world — what the trainer
-/// sees step after step (no per-round world construction, zero-alloc
-/// scratch reuse).
-fn bench_steady_state(c: &mut Criterion) {
-    let mut group = c.benchmark_group("all_reduce_steady");
-    group.sample_size(10);
-    let replicas = 4usize;
-    let elems = 4_194_304usize;
-    for backend in [Backend::Tree, Backend::Ring] {
-        group.throughput(Throughput::Bytes((elems * 4 * replicas) as u64));
-        group.bench_function(BenchmarkId::new(format!("{backend}"), elems), |b| {
-            b.iter(|| run_backend(backend, replicas, elems, 4));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_all_reduce, bench_steady_state);
+criterion_group!(benches, bench_all_reduce);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //!
 //! `--json` emits through the flight recorder's own JSON writer, so the
 //! output parses even in hermetic builds with a stubbed `serde_json`.
-//! `--check-growth` runs CI's gate: the torus backend's all-reduce share
+//! `--check-growth` runs CI's gate: the torus algorithm's all-reduce share
 //! must grow strictly slower than the flat ring's from 1024 to 4096
 //! cores; exits nonzero on violation.
 

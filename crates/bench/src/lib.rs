@@ -96,9 +96,9 @@ pub fn table1_json(rows: &[Table1Row]) -> String {
 
 /// One Figure 1 point: time to peak accuracy at an operating point. The
 /// gradient exchange is priced under `Backend::Auto`, and `backend`
-/// records the concrete transport the α–β cost models resolve to at this
-/// world size (the one the executed dispatch would route over) — so the
-/// committed figure names the grid all-reduce it actually charges.
+/// records the concrete algorithm the α–β cost models resolve to at this
+/// world size — so the committed figure names the grid all-reduce it
+/// actually charges.
 #[derive(Clone, Debug)]
 pub struct Figure1Point {
     pub model: String,
@@ -297,7 +297,7 @@ pub fn scaling_backend_rows() -> Vec<RunSummary> {
     rows
 }
 
-/// CI gate over [`scaling_backend_rows`]: the hierarchical (torus) backend's
+/// CI gate over [`scaling_backend_rows`]: the hierarchical (torus) algorithm's
 /// all-reduce share must grow strictly slower than the flat ring's from the
 /// smallest to the largest core count. Returns the two growth ratios
 /// `(torus, ring)` on success.

@@ -127,7 +127,7 @@ fn step_time_summaries_match_table1_within_tolerance() {
 }
 
 /// The ISSUE-9 scaling study: per-backend rows at 1024/2048/4096 cores,
-/// with the CI gate asserting the hierarchical backend's all-reduce share
+/// with the CI gate asserting the hierarchical algorithm's all-reduce share
 /// grows strictly slower than the flat ring's — and that the gate actually
 /// rejects the inverted ordering.
 #[test]

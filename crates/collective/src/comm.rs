@@ -1,68 +1,46 @@
-//! Shared-memory collectives for in-process replicas.
+//! The shared-memory communicator behind every [`Collective`].
 //!
-//! The distributed trainer runs each replica on its own thread; these
-//! communicators give them MPI-style collectives with **deterministic
-//! reduction order** — contributions are always combined in ascending rank
-//! order, so floating-point sums are bitwise reproducible regardless of
-//! thread scheduling.
+//! The distributed trainer runs each replica on its own thread of one
+//! address space, so the all-reduce needs no message passing. Every rank
+//! publishes its buffer's pointer and length, and all ranks meet at a
+//! barrier. Each rank then reads every rank's buffer in place and folds
+//! its own [`shard_bounds`] shard into a result shard it owns. After a
+//! second barrier, every rank copies all result shards out. Work is O(n)
+//! per rank.
 //!
-//! Two mechanisms coexist:
+//! The fold is the **canonical grid-blocked order** of
+//! [`canonical_grid`]: ranks form a row-major `rows × cols` grid, each
+//! row's `cols` terms are folded in ascending rank order, and the row sums
+//! are then folded in ascending row order (the flat ascending fold when
+//! the grid has one row). The order is a pure function of the world size,
+//! so results are bitwise identical on every rank, on every run, and under
+//! every thread schedule. It is also what a two-phase 2-D torus exchange
+//! computes, which is how the TPU pod runs it and how `crate::cost` prices
+//! it.
 //!
-//! - [`CommHandle::exchange`] — the legacy publish-all primitive: every
-//!   member deposits its contribution (an owned `Vec`), the last arrival
-//!   publishes the full set, and everyone reads it. Kept for tests and
-//!   benchmarks that want the raw contribution set.
-//! - The collective operations (`all_reduce_sum`, `all_gather_into`,
-//!   `broadcast`, `barrier`) — these run on a **persistent round scratch**:
-//!   per-rank slot buffers and a shared result buffer owned by the
-//!   communicator are reused round after round, so the steady state
-//!   performs **no heap allocation** (a BN layer syncs once per conv layer
-//!   per step — thousands of rounds per step). Capacity growth is counted
-//!   in [`CommHandle::scratch_reallocs`], which a test pins to zero after
-//!   warmup.
-//!
-//! A generation counter lets the same communicator be reused for thousands
-//! of rounds without re-allocation races.
+//! `all_gather` and `broadcast` run rendezvous rounds over a **persistent
+//! round scratch**: per-rank slot buffers and a shared result buffer owned
+//! by the communicator are reused round after round. Together with the
+//! all-reduce's persistent result shards, the steady state performs **no
+//! heap allocation** (a BN layer syncs once per conv layer per step).
+//! Capacity growth is counted in [`Collective::scratch_reallocs`], which a
+//! test pins flat after warmup.
 
-use parking_lot::{Condvar, Mutex};
+use crate::backend::{Collective, CollectiveStats};
+use crate::topology::canonical_grid;
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Persistent zero-alloc round state for the collective operations.
-struct RoundScratch {
-    /// Per-rank contribution buffers, reused every round.
-    slots: Vec<Vec<f32>>,
-    /// Double-deposit guards, reset when a round publishes.
-    deposited: Vec<bool>,
-    /// Reduced / gathered / broadcast payload of the completed round.
-    result: Vec<f32>,
-    /// Per-block partial sums for the grid-blocked fold, reused every round.
-    partial: Vec<f32>,
-    arrived: usize,
-    readers_left: usize,
-    generation: u64,
-    /// Number of scratch-buffer capacity growths since creation. Constant
-    /// once buffer sizes stabilize — the zero-alloc steady-state counter.
-    reallocs: u64,
-}
+/// Elements folded per pass: one block partial of this many f32 lives on
+/// the stack and stays in L1 while every rank's terms stream past it.
+const FOLD_CHUNK: usize = 1024;
 
-impl RoundScratch {
-    fn new(size: usize) -> Self {
-        RoundScratch {
-            slots: (0..size).map(|_| Vec::new()).collect(),
-            deposited: vec![false; size],
-            result: Vec::new(),
-            partial: Vec::new(),
-            arrived: 0,
-            readers_left: 0,
-            generation: 0,
-            reallocs: 0,
-        }
-    }
-}
+/// Polls of the barrier generation before a waiter parks on the condvar.
+const YIELD_POLLS: u32 = 20;
 
 /// Byte range `[start, end)` of part `i` when `n` elements are split into
-/// `parts` near-equal shards, remainder spread over the leading parts —
-/// the shard layout [`CommHandle::reduce_scatter_sum`] commits to.
+/// `parts` near-equal shards, remainder spread over the leading parts.
 pub fn shard_bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
     assert!(i < parts, "shard index out of range");
     let base = n / parts;
@@ -72,40 +50,132 @@ pub fn shard_bounds(n: usize, parts: usize, i: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Copies `src` into the persistent buffer `dst`, reporting whether the
-/// buffer had to grow (an allocation — only expected during warmup).
-fn fill_scratch(dst: &mut Vec<f32>, src: &[f32]) -> bool {
-    let grew = dst.capacity() < src.len();
-    dst.clear();
-    dst.extend_from_slice(src);
-    grew
+/// `acc[i] += x[i]`, element by element.
+fn add(acc: &mut [f32], x: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += v;
+    }
 }
 
-struct CommState {
-    /// Contributions for the current legacy-exchange round.
-    slots: Vec<Option<Vec<f32>>>,
+/// Persistent zero-alloc state for the gather and broadcast rounds.
+struct RoundScratch {
+    /// Per-rank contribution buffers, reused every round.
+    slots: Vec<Vec<f32>>,
+    /// Double-deposit guards, reset when a round publishes.
+    deposited: Vec<bool>,
+    /// Gathered / broadcast payload of the completed round.
+    result: Vec<f32>,
     arrived: usize,
-    /// Published result of the completed exchange round.
-    published: Option<Arc<Vec<Vec<f32>>>>,
     readers_left: usize,
     generation: u64,
-    /// Zero-alloc state for the collective operations.
-    round: RoundScratch,
+}
+
+/// Central generation barrier for the all-reduce: waiters poll briefly,
+/// then park. Each arrival's `AcqRel` increment of `arrived` and the last
+/// arrival's `Release` bump of `generation`, read with `Acquire`, order
+/// every member's writes before the call with every member's reads after
+/// its return.
+#[derive(Default)]
+struct Gate {
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Returns once all `size` members have called `wait` for this
+    /// generation. Everything a member wrote before its call is visible
+    /// to every member after theirs returns.
+    fn wait(&self, size: usize) {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == size {
+            self.arrived.store(0, Ordering::Relaxed);
+            // Bump under the lock so a waiter between its check and its
+            // park cannot miss the notification.
+            let _held = self.lock.lock();
+            self.generation.store(generation + 1, Ordering::Release);
+            self.cv.notify_all();
+            return;
+        }
+        // Yielding while polling hands the core to a peer that has yet to
+        // arrive when ranks outnumber cores.
+        for _ in 0..YIELD_POLLS {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let mut held = self.lock.lock();
+        while self.generation.load(Ordering::Acquire) == generation {
+            self.cv.wait(&mut held);
+        }
+    }
+}
+
+/// A rank's all-reduce input, published for its peers to read in place.
+/// `Relaxed` suffices: the [`Gate`] orders the stores before the loads.
+#[derive(Default)]
+struct Published {
+    ptr: AtomicPtr<f32>,
+    len: AtomicUsize,
 }
 
 struct CommInner {
     size: usize,
-    state: Mutex<CommState>,
+    /// Canonical fold shape for this world (flat fold when rows == 1).
+    fold: (usize, usize),
+    /// All-reduce inputs, one per rank.
+    inputs: Vec<Published>,
+    /// All-reduce result shards, one per rank: written only by their
+    /// owner between the two barriers, read by everyone after the second.
+    shards: Vec<RwLock<Vec<f32>>>,
+    gate: Gate,
+    round: Mutex<RoundScratch>,
     cv: Condvar,
+    /// Scratch-buffer capacity growths since creation. Constant once
+    /// buffer sizes stabilize — the zero-alloc steady-state counter.
+    reallocs: AtomicU64,
+}
+
+#[derive(Default)]
+struct StatsCell {
+    all_reduce_calls: AtomicU64,
+    all_gather_calls: AtomicU64,
+    broadcast_calls: AtomicU64,
+    barrier_calls: AtomicU64,
+    payload_bytes: AtomicU64,
+}
+
+impl StatsCell {
+    fn record(&self, counter: &AtomicU64, elems: usize) {
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.payload_bytes
+            .fetch_add(elems as u64 * 4, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> CollectiveStats {
+        CollectiveStats {
+            all_reduce_calls: self.all_reduce_calls.load(Ordering::Relaxed),
+            all_gather_calls: self.all_gather_calls.load(Ordering::Relaxed),
+            broadcast_calls: self.broadcast_calls.load(Ordering::Relaxed),
+            barrier_calls: self.barrier_calls.load(Ordering::Relaxed),
+            payload_bytes: self.payload_bytes.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// One participant's handle to a communicator of `size` members.
 ///
-/// Handles are cheap to clone-construct at creation time (one per member);
-/// each is `Send` and used by exactly one thread.
+/// Each handle is `Send + Sync` and used by exactly one thread.
 pub struct CommHandle {
     rank: usize,
     inner: Arc<CommInner>,
+    stats: StatsCell,
+    /// Set while this handle is inside `all_reduce_sum`. Peers read the
+    /// published buffer of every rank, so two overlapping calls on one
+    /// handle must fail before either reaches the [`Gate`].
+    in_all_reduce: AtomicBool,
 }
 
 impl CommHandle {
@@ -115,89 +185,29 @@ impl CommHandle {
         assert!(size >= 1, "communicator needs at least one member");
         let inner = Arc::new(CommInner {
             size,
-            state: Mutex::new(CommState {
-                slots: (0..size).map(|_| None).collect(),
+            fold: canonical_grid(size),
+            inputs: (0..size).map(|_| Published::default()).collect(),
+            shards: (0..size).map(|_| RwLock::new(Vec::new())).collect(),
+            gate: Gate::default(),
+            round: Mutex::new(RoundScratch {
+                slots: (0..size).map(|_| Vec::new()).collect(),
+                deposited: vec![false; size],
+                result: Vec::new(),
                 arrived: 0,
-                published: None,
                 readers_left: 0,
                 generation: 0,
-                round: RoundScratch::new(size),
             }),
             cv: Condvar::new(),
+            reallocs: AtomicU64::new(0),
         });
         (0..size)
             .map(|rank| CommHandle {
                 rank,
                 inner: Arc::clone(&inner),
+                stats: StatsCell::default(),
+                in_all_reduce: AtomicBool::new(false),
             })
             .collect()
-    }
-
-    /// This member's rank within the communicator.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of members.
-    pub fn size(&self) -> usize {
-        self.inner.size
-    }
-
-    /// Scratch-buffer growth events since creation (shared across ranks).
-    /// Flat after warmup ⇒ the reduce path is allocation-free.
-    pub fn scratch_reallocs(&self) -> u64 {
-        self.inner.state.lock().round.reallocs
-    }
-
-    /// Deposits `contribution` and returns every member's contribution
-    /// (indexed by rank) once all have arrived.
-    ///
-    /// This is the legacy publish-all primitive: it clones nothing but
-    /// moves the caller's `Vec` and allocates the published set each round.
-    /// The collective operations below use the zero-alloc round path
-    /// instead; prefer them (or the [`crate::Collective`] trait) in new
-    /// code.
-    pub fn exchange(&self, contribution: Vec<f32>) -> Arc<Vec<Vec<f32>>> {
-        let inner = &*self.inner;
-        if inner.size == 1 {
-            return Arc::new(vec![contribution]);
-        }
-        let mut st = inner.state.lock();
-        // Wait for the previous round to fully drain before starting a new
-        // one (a fast member could lap slow readers otherwise).
-        while st.readers_left > 0 {
-            inner.cv.wait(&mut st);
-        }
-        let my_gen = st.generation;
-        // A double deposit would silently corrupt the round; fail fast in
-        // release builds too (promoted from a debug_assert).
-        assert!(
-            st.slots[self.rank].is_none(),
-            "double deposit by rank {} (one handle per thread, one deposit per round)",
-            self.rank
-        );
-        st.slots[self.rank] = Some(contribution);
-        st.arrived += 1;
-        if st.arrived == inner.size {
-            // Last arrival publishes, in rank order by construction.
-            let all: Vec<Vec<f32>> = st.slots.iter_mut().map(|s| s.take().unwrap()).collect();
-            st.published = Some(Arc::new(all));
-            st.arrived = 0;
-            st.readers_left = inner.size;
-            st.generation += 1;
-            inner.cv.notify_all();
-        } else {
-            while st.generation == my_gen {
-                inner.cv.wait(&mut st);
-            }
-        }
-        let out = Arc::clone(st.published.as_ref().expect("published result"));
-        st.readers_left -= 1;
-        if st.readers_left == 0 {
-            st.published = None;
-            inner.cv.notify_all();
-        }
-        out
     }
 
     /// One zero-alloc rendezvous round over the persistent scratch.
@@ -209,215 +219,141 @@ impl CommHandle {
         &self,
         ctx: &mut C,
         deposit: impl FnOnce(&mut C, &mut RoundScratch, usize),
-        publish: impl FnOnce(&mut RoundScratch, usize),
+        publish: impl FnOnce(&mut RoundScratch),
         read: impl FnOnce(&mut C, &RoundScratch, usize) -> R,
     ) -> R {
         let inner = &*self.inner;
-        let mut st = inner.state.lock();
-        while st.round.readers_left > 0 {
+        let mut st = inner.round.lock();
+        while st.readers_left > 0 {
             inner.cv.wait(&mut st);
         }
-        let my_gen = st.round.generation;
+        let my_gen = st.generation;
         assert!(
-            !st.round.deposited[self.rank],
+            !st.deposited[self.rank],
             "double deposit by rank {} (one handle per thread, one deposit per round)",
             self.rank
         );
-        st.round.deposited[self.rank] = true;
-        deposit(ctx, &mut st.round, self.rank);
-        st.round.arrived += 1;
-        if st.round.arrived == inner.size {
-            publish(&mut st.round, inner.size);
-            st.round.arrived = 0;
-            st.round.deposited.iter_mut().for_each(|d| *d = false);
-            st.round.readers_left = inner.size;
-            st.round.generation += 1;
+        st.deposited[self.rank] = true;
+        deposit(ctx, &mut st, self.rank);
+        st.arrived += 1;
+        if st.arrived == inner.size {
+            publish(&mut st);
+            st.arrived = 0;
+            st.deposited.iter_mut().for_each(|d| *d = false);
+            st.readers_left = inner.size;
+            st.generation += 1;
             inner.cv.notify_all();
         } else {
-            while st.round.generation == my_gen {
+            while st.generation == my_gen {
                 inner.cv.wait(&mut st);
             }
         }
-        let out = read(ctx, &st.round, self.rank);
-        st.round.readers_left -= 1;
-        if st.round.readers_left == 0 {
+        let out = read(ctx, &st, self.rank);
+        st.readers_left -= 1;
+        if st.readers_left == 0 {
             inner.cv.notify_all();
         }
         out
     }
 
-    /// In-place sum all-reduce with ascending-rank reduction order.
-    ///
-    /// Steady-state allocation-free: contributions are copied into
-    /// persistent per-rank scratch, the last arrival reduces them (rank 0
-    /// first, then 1, 2, …) into a persistent result buffer, and every
-    /// member copies the result back out.
-    pub fn all_reduce_sum(&self, buf: &mut [f32]) {
-        if self.inner.size == 1 {
+    /// Copies `src` into the persistent slot buffer `dst`, counting growth.
+    fn fill(&self, dst: &mut Vec<f32>, src: &[f32]) {
+        if dst.capacity() < src.len() {
+            self.inner.reallocs.fetch_add(1, Ordering::Relaxed);
+        }
+        dst.clear();
+        dst.extend_from_slice(src);
+    }
+}
+
+impl Collective for CommHandle {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size
+    }
+
+    /// In-place sum with the canonical grid-blocked fold (module docs).
+    /// Panics with `mismatched all-reduce lengths` on every rank, before
+    /// any peer buffer is read, if the ranks' lengths differ.
+    fn all_reduce_sum(&self, buf: &mut [f32]) {
+        self.stats.record(&self.stats.all_reduce_calls, buf.len());
+        let inner = &*self.inner;
+        let p = inner.size;
+        if p == 1 {
             return;
         }
+        assert!(
+            !self.in_all_reduce.swap(true, Ordering::Relaxed),
+            "overlapping all_reduce_sum calls on rank {} (one handle per thread)",
+            self.rank
+        );
         let n = buf.len();
-        self.round(
-            buf,
-            |buf, round, rank| {
-                if fill_scratch(&mut round.slots[rank], buf) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                result.clear();
-                result.extend_from_slice(&slots[0]);
-                for slot in slots.iter().take(size).skip(1) {
-                    assert_eq!(slot.len(), n, "mismatched all-reduce lengths");
-                    for (acc, &x) in result.iter_mut().zip(slot.iter()) {
-                        *acc += x;
-                    }
-                }
-            },
-            |buf, round, _| buf.copy_from_slice(&round.result),
-        );
-    }
+        let mine = &inner.inputs[self.rank];
+        mine.ptr.store(buf.as_mut_ptr(), Ordering::Relaxed);
+        mine.len.store(n, Ordering::Relaxed);
+        inner.gate.wait(p);
 
-    /// In-place mean all-reduce.
-    pub fn all_reduce_mean(&self, buf: &mut [f32]) {
-        self.all_reduce_sum(buf);
-        let inv = 1.0 / self.inner.size as f32;
-        buf.iter_mut().for_each(|v| *v *= inv);
-    }
-
-    /// In-place sum all-reduce with the **canonical grid-blocked fold**:
-    /// ranks are viewed as a row-major `rows × cols` grid, each row-block's
-    /// `cols` consecutive contributions are folded in ascending rank order,
-    /// and the block sums are then folded in ascending block order.
-    ///
-    /// This is the reduction order every [`crate::Collective`] backend
-    /// commits to for its world — it is exactly what a two-phase torus
-    /// exchange produces (per-row ascending fold, then per-column ascending
-    /// fold of the row sums), so tree, ring, and torus-2d backends are
-    /// bitwise identical. `rows == 1` degenerates to the flat ascending
-    /// fold of [`Self::all_reduce_sum`] (which stays flat on purpose: the
-    /// torus backend's internal row/column sub-communicators must fold
-    /// flat for the composition to equal this one-level blocked fold).
-    pub fn all_reduce_sum_grid(&self, buf: &mut [f32], rows: usize, cols: usize) {
-        assert_eq!(
-            rows * cols,
-            self.inner.size,
-            "grid shape must cover the communicator"
-        );
-        if rows <= 1 {
-            return self.all_reduce_sum(buf);
+        // Every rank sees the same published lengths, so either all ranks
+        // panic here or none does.
+        if inner
+            .inputs
+            .iter()
+            .any(|x| x.len.load(Ordering::Relaxed) != n)
+        {
+            panic!("mismatched all-reduce lengths");
         }
-        if self.inner.size == 1 {
-            return;
+        let (a, b) = shard_bounds(n, p, self.rank);
+        let input = |q: usize, lo: usize, hi: usize| -> &[f32] {
+            let ptr = inner.inputs[q].ptr.load(Ordering::Relaxed);
+            // SAFETY: only this function waits on the gate, one call at a
+            // time per handle (`in_all_reduce`), so every rank's first wait
+            // of this call closed the same generation. Rank `q` therefore
+            // published `ptr` from its `&mut [f32]` of `n` elements (checked
+            // equal above) in this call, and does not touch that buffer
+            // again until every rank has reached the second wait, after
+            // which no rank reads it. So the buffer is alive and unmodified
+            // while this read happens, and `a + hi <= b <= n` keeps the
+            // range in bounds.
+            unsafe { std::slice::from_raw_parts(ptr.add(a + lo), hi - lo) }
+        };
+        let (rows, cols) = inner.fold;
+        let mut out = inner.shards[self.rank].write();
+        if out.capacity() < b - a {
+            inner.reallocs.fetch_add(1, Ordering::Relaxed);
         }
-        let n = buf.len();
-        self.round(
-            buf,
-            |buf, round, rank| {
-                if fill_scratch(&mut round.slots[rank], buf) {
-                    round.reallocs += 1;
+        out.clear();
+        let mut partial = [0.0f32; FOLD_CHUNK];
+        for lo in (0..b - a).step_by(FOLD_CHUNK) {
+            let hi = (lo + FOLD_CHUNK).min(b - a);
+            out.extend_from_slice(input(0, lo, hi));
+            let acc = &mut out[lo..hi];
+            for q in 1..cols {
+                add(acc, input(q, lo, hi));
+            }
+            for row in 1..rows {
+                let part = &mut partial[..hi - lo];
+                part.copy_from_slice(input(row * cols, lo, hi));
+                for q in row * cols + 1..(row + 1) * cols {
+                    add(part, input(q, lo, hi));
                 }
-            },
-            |round, _size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    partial,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                if partial.capacity() < n {
-                    *reallocs += 1;
-                }
-                for block in 0..rows {
-                    let base = block * cols;
-                    let acc = if block == 0 {
-                        &mut *result
-                    } else {
-                        &mut *partial
-                    };
-                    acc.clear();
-                    acc.extend_from_slice(&slots[base]);
-                    for slot in &slots[base + 1..base + cols] {
-                        assert_eq!(slot.len(), n, "mismatched all-reduce lengths");
-                        for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-                            *a += x;
-                        }
-                    }
-                    if block > 0 {
-                        for (a, &x) in result.iter_mut().zip(partial.iter()) {
-                            *a += x;
-                        }
-                    }
-                }
-            },
-            |buf, round, _| buf.copy_from_slice(&round.result),
-        );
+                add(acc, part);
+            }
+        }
+        drop(out);
+        inner.gate.wait(p);
+
+        for (q, shard) in inner.shards.iter().enumerate() {
+            let (a, b) = shard_bounds(n, p, q);
+            buf[a..b].copy_from_slice(&shard.read());
+        }
+        self.in_all_reduce.store(false, Ordering::Relaxed);
     }
 
-    /// Reduce-scatter with the flat ascending-rank fold: every member
-    /// contributes `contrib`, and `shard` is refilled with this rank's
-    /// remainder-first shard (see [`shard_bounds`]) of the full sum.
-    ///
-    /// With a reused `shard` the steady state allocates nothing. All
-    /// members must pass equal-length contributions.
-    pub fn reduce_scatter_sum(&self, contrib: &[f32], shard: &mut Vec<f32>) {
-        let n = contrib.len();
-        if self.inner.size == 1 {
-            shard.clear();
-            shard.extend_from_slice(contrib);
-            return;
-        }
-        self.round(
-            shard,
-            |_shard, round, rank| {
-                if fill_scratch(&mut round.slots[rank], contrib) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                if result.capacity() < n {
-                    *reallocs += 1;
-                }
-                result.clear();
-                result.extend_from_slice(&slots[0]);
-                for slot in slots.iter().take(size).skip(1) {
-                    assert_eq!(slot.len(), n, "mismatched reduce-scatter lengths");
-                    for (acc, &x) in result.iter_mut().zip(slot.iter()) {
-                        *acc += x;
-                    }
-                }
-            },
-            |shard, round, rank| {
-                let (a, b) = shard_bounds(n, self.inner.size, rank);
-                shard.clear();
-                shard.extend_from_slice(&round.result[a..b]);
-            },
-        );
-    }
-
-    /// Gathers every member's `local` slice into `out`, concatenated in
-    /// rank order. `out` is cleared and refilled; with a reused `out` the
-    /// steady state allocates nothing.
-    pub fn all_gather_into(&self, local: &[f32], out: &mut Vec<f32>) {
+    fn all_gather(&self, local: &[f32], out: &mut Vec<f32>) {
+        self.stats.record(&self.stats.all_gather_calls, local.len());
         if self.inner.size == 1 {
             out.clear();
             out.extend_from_slice(local);
@@ -425,24 +361,15 @@ impl CommHandle {
         }
         self.round(
             out,
-            |_out, round, rank| {
-                if fill_scratch(&mut round.slots[rank], local) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                let total: usize = slots.iter().take(size).map(|s| s.len()).sum();
+            |_out, round, rank| self.fill(&mut round.slots[rank], local),
+            |round| {
+                let RoundScratch { slots, result, .. } = round;
+                let total: usize = slots.iter().map(|s| s.len()).sum();
                 if result.capacity() < total {
-                    *reallocs += 1;
+                    self.inner.reallocs.fetch_add(1, Ordering::Relaxed);
                 }
                 result.clear();
-                for slot in slots.iter().take(size) {
+                for slot in slots.iter() {
                     result.extend_from_slice(slot);
                 }
             },
@@ -453,54 +380,9 @@ impl CommHandle {
         );
     }
 
-    /// Gathers every member's `local` slice, concatenated in rank order.
-    /// Convenience wrapper over [`Self::all_gather_into`].
-    pub fn all_gather(&self, local: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(local.len() * self.inner.size);
-        self.all_gather_into(local, &mut out);
-        out
-    }
-
-    /// Gathers every member's `local` slice into the fixed-size slice
-    /// `out` (rank order); `out.len()` must equal the sum of contribution
-    /// lengths. The allocation-free companion of [`Self::all_gather_into`]
-    /// for callers that own the destination, e.g. the torus backend's
-    /// all-gather phase writing straight back into the gradient buffer.
-    pub fn all_gather_into_slice(&self, local: &[f32], out: &mut [f32]) {
-        if self.inner.size == 1 {
-            out.copy_from_slice(local);
-            return;
-        }
-        self.round(
-            out,
-            |_out, round, rank| {
-                if fill_scratch(&mut round.slots[rank], local) {
-                    round.reallocs += 1;
-                }
-            },
-            |round, size| {
-                let RoundScratch {
-                    slots,
-                    result,
-                    reallocs,
-                    ..
-                } = round;
-                let total: usize = slots.iter().take(size).map(|s| s.len()).sum();
-                if result.capacity() < total {
-                    *reallocs += 1;
-                }
-                result.clear();
-                for slot in slots.iter().take(size) {
-                    result.extend_from_slice(slot);
-                }
-            },
-            |out, round, _| out.copy_from_slice(&round.result),
-        );
-    }
-
-    /// Broadcast from `root`: on return every member's `buf` holds root's.
-    pub fn broadcast(&self, buf: &mut [f32], root: usize) {
+    fn broadcast(&self, buf: &mut [f32], root: usize) {
         assert!(root < self.inner.size, "broadcast root out of range");
+        self.stats.record(&self.stats.broadcast_calls, buf.len());
         if self.inner.size == 1 {
             return;
         }
@@ -510,15 +392,10 @@ impl CommHandle {
                 // Only the root deposits payload — straight into the result
                 // buffer (previous round fully drained, so this is safe).
                 if rank == root {
-                    let RoundScratch {
-                        result, reallocs, ..
-                    } = round;
-                    if fill_scratch(result, buf) {
-                        *reallocs += 1;
-                    }
+                    self.fill(&mut round.result, buf);
                 }
             },
-            |_round, _| {},
+            |_round| {},
             |buf, round, rank| {
                 if rank != root {
                     buf.copy_from_slice(&round.result);
@@ -527,12 +404,19 @@ impl CommHandle {
         );
     }
 
-    /// Barrier: returns once every member has arrived.
-    pub fn barrier(&self) {
-        if self.inner.size == 1 {
-            return;
+    fn barrier(&self) {
+        self.stats.record(&self.stats.barrier_calls, 0);
+        if self.inner.size > 1 {
+            self.round(&mut (), |_, _, _| {}, |_| {}, |_, _, _| {});
         }
-        self.round(&mut (), |_, _, _| {}, |_, _| {}, |_, _, _| {});
+    }
+
+    fn stats(&self) -> CollectiveStats {
+        self.stats.snapshot()
+    }
+
+    fn scratch_reallocs(&self) -> u64 {
+        self.inner.reallocs.load(Ordering::Relaxed)
     }
 }
 
@@ -541,13 +425,12 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn run_replicas<F, R>(n: usize, f: F) -> Vec<R>
+    fn run_world<F, R>(p: usize, f: F) -> Vec<R>
     where
         F: Fn(CommHandle) -> R + Send + Sync + Clone + 'static,
         R: Send + 'static,
     {
-        let handles = CommHandle::create(n);
-        let joins: Vec<_> = handles
+        let joins: Vec<_> = CommHandle::create(p)
             .into_iter()
             .map(|h| {
                 let f = f.clone();
@@ -558,52 +441,45 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_sums_across_ranks() {
-        let results = run_replicas(4, |h| {
-            let mut buf = vec![h.rank() as f32, 1.0];
-            h.all_reduce_sum(&mut buf);
-            buf
+    fn all_reduce_sum_and_mean_across_ranks() {
+        let results = run_world(4, |h| {
+            let mut sum = vec![h.rank() as f32, 1.0];
+            h.all_reduce_sum(&mut sum);
+            let mut mean = vec![(h.rank() * 2) as f32];
+            h.all_reduce_mean(&mut mean);
+            (sum, mean)
         });
-        for r in results {
-            assert_eq!(r, vec![0.0 + 1.0 + 2.0 + 3.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn all_reduce_mean_averages() {
-        let results = run_replicas(4, |h| {
-            let mut buf = vec![(h.rank() * 2) as f32];
-            h.all_reduce_mean(&mut buf);
-            buf[0]
-        });
-        for r in results {
-            assert!((r - 3.0).abs() < 1e-6);
+        for (sum, mean) in results {
+            assert_eq!(sum, vec![6.0, 4.0]);
+            assert_eq!(mean, vec![3.0]);
         }
     }
 
     #[test]
     fn repeated_rounds_do_not_cross_talk() {
-        let results = run_replicas(3, |h| {
-            let mut out = Vec::new();
-            for round in 0..50 {
-                let mut buf = vec![(h.rank() + round) as f32];
-                h.all_reduce_sum(&mut buf);
-                out.push(buf[0]);
-            }
-            out
+        let results = run_world(3, |h| {
+            (0..200)
+                .map(|round| {
+                    let mut buf = vec![(h.rank() + round) as f32; 5];
+                    h.all_reduce_sum(&mut buf);
+                    buf[4]
+                })
+                .collect::<Vec<_>>()
         });
         for r in &results {
             for (round, &v) in r.iter().enumerate() {
-                let expected: usize = (0..3).map(|rank| rank + round).sum();
-                assert_eq!(v, expected as f32, "round {round}");
+                assert_eq!(v, (3 * round + 3) as f32, "round {round}");
             }
         }
     }
 
     #[test]
     fn all_gather_concatenates_in_rank_order() {
-        let results = run_replicas(3, |h| {
-            h.all_gather(&[h.rank() as f32 * 10.0, h.rank() as f32 * 10.0 + 1.0])
+        let results = run_world(3, |h| {
+            let r = h.rank() as f32;
+            let mut out = Vec::new();
+            h.all_gather(&[r * 10.0, r * 10.0 + 1.0], &mut out);
+            out
         });
         for r in results {
             assert_eq!(r, vec![0.0, 1.0, 10.0, 11.0, 20.0, 21.0]);
@@ -612,163 +488,80 @@ mod tests {
 
     #[test]
     fn broadcast_copies_root() {
-        let results = run_replicas(4, |h| {
+        let results = run_world(4, |h| {
             let mut buf = if h.rank() == 2 {
-                vec![7.0, 8.0]
+                vec![3.5, -1.25, 8.0]
             } else {
-                vec![0.0, 0.0]
+                vec![0.0; 3]
             };
             h.broadcast(&mut buf, 2);
             buf
         });
         for r in results {
-            assert_eq!(r, vec![7.0, 8.0]);
+            assert_eq!(r, vec![3.5, -1.25, 8.0]);
         }
+    }
+
+    #[test]
+    fn barrier_and_sequenced_ops_interleave_safely() {
+        let results = run_world(3, |h| {
+            let mut buf = vec![h.rank() as f32 + 1.0];
+            h.barrier();
+            h.all_reduce_sum(&mut buf);
+            h.barrier();
+            let mut out = Vec::new();
+            h.all_gather(&buf, &mut out);
+            out
+        });
+        for r in results {
+            assert_eq!(r, vec![6.0, 6.0, 6.0]);
+        }
+    }
+
+    #[test]
+    fn barrier_synchronizes() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&counter);
+        run_world(4, move |h| {
+            c.fetch_add(1, Ordering::SeqCst);
+            h.barrier();
+            // After the barrier, all increments must be visible.
+            assert_eq!(c.load(Ordering::SeqCst), 4);
+        });
     }
 
     #[test]
     fn singleton_communicator_is_identity() {
-        let mut hs = CommHandle::create(1);
-        let h = hs.pop().unwrap();
-        let mut buf = vec![3.0];
+        let h = CommHandle::create(1).pop().unwrap();
+        let mut buf = vec![2.0, 4.0];
         h.all_reduce_sum(&mut buf);
-        assert_eq!(buf, vec![3.0]);
+        h.all_reduce_mean(&mut buf);
+        assert_eq!(buf, vec![2.0, 4.0]);
+        let mut out = Vec::new();
+        h.all_gather(&buf, &mut out);
+        assert_eq!(out, vec![2.0, 4.0]);
+        h.broadcast(&mut buf, 0);
         h.barrier();
     }
 
     #[test]
-    fn deterministic_sum_order() {
-        // With adversarial magnitudes, the deterministic ascending-rank
-        // order must give the same result across many runs even though
-        // thread arrival order varies.
-        let golden = run_replicas(4, |h| {
-            let vals = [1e8f32, 1.0, -1e8, 0.5];
-            let mut buf = vec![vals[h.rank()]];
+    fn stats_count_calls_and_bytes() {
+        for s in run_world(2, |h| {
+            let mut buf = vec![1.0; 10];
             h.all_reduce_sum(&mut buf);
-            buf[0]
-        })[0];
-        for _ in 0..20 {
-            let r = run_replicas(4, |h| {
-                let vals = [1e8f32, 1.0, -1e8, 0.5];
-                let mut buf = vec![vals[h.rank()]];
-                h.all_reduce_sum(&mut buf);
-                buf[0]
-            });
-            for v in r {
-                assert_eq!(v.to_bits(), golden.to_bits(), "bitwise reproducible");
-            }
-        }
-    }
-
-    fn adversarial_payload(rank: usize, n: usize) -> Vec<f32> {
-        // Mixed magnitudes so reassociation changes the rounded sum.
-        (0..n)
-            .map(|i| {
-                let m = [1e8f32, 1.0, -1e8, 0.37, 1e-3][(rank + i) % 5];
-                m * (1.0 + (rank * 31 + i * 7) as f32 * 1e-3)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn grid_fold_with_one_row_matches_flat_fold() {
-        for n in [1usize, 5, 33] {
-            let flat = run_replicas(4, move |h| {
-                let mut buf = adversarial_payload(h.rank(), n);
-                h.all_reduce_sum(&mut buf);
-                buf
-            });
-            let grid = run_replicas(4, move |h| {
-                let mut buf = adversarial_payload(h.rank(), n);
-                h.all_reduce_sum_grid(&mut buf, 1, 4);
-                buf
-            });
-            for (a, b) in flat.iter().zip(grid.iter()) {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_fold_matches_two_phase_torus_composition_bitwise() {
-        // The one-level blocked fold must equal what the torus backend
-        // physically does: per-row reduce-scatter (flat ascending fold),
-        // per-column all-reduce of the shards (flat ascending fold over
-        // block sums), then row all-gather.
-        for (rows, cols) in [(2usize, 2usize), (2, 3), (3, 4), (4, 4)] {
-            let p = rows * cols;
-            for n in [1usize, 7, 64, 97] {
-                let grid = run_replicas(p, move |h| {
-                    let mut buf = adversarial_payload(h.rank(), n);
-                    h.all_reduce_sum_grid(&mut buf, rows, cols);
-                    buf
-                });
-                // Reference composition computed serially in f32.
-                let contribs: Vec<Vec<f32>> = (0..p).map(|r| adversarial_payload(r, n)).collect();
-                let mut row_sums = Vec::new();
-                for b in 0..rows {
-                    let mut acc = contribs[b * cols].clone();
-                    for c in &contribs[b * cols + 1..(b + 1) * cols] {
-                        for (a, &x) in acc.iter_mut().zip(c.iter()) {
-                            *a += x;
-                        }
-                    }
-                    row_sums.push(acc);
-                }
-                let mut expect = row_sums[0].clone();
-                for rs in &row_sums[1..] {
-                    for (a, &x) in expect.iter_mut().zip(rs.iter()) {
-                        *a += x;
-                    }
-                }
-                for g in &grid {
-                    for (x, y) in g.iter().zip(expect.iter()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "grid {rows}x{cols} n={n}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_shards_cover_the_flat_sum() {
-        for n in [1usize, 3, 10, 97] {
-            let flat = run_replicas(4, move |h| {
-                let mut buf = adversarial_payload(h.rank(), n);
-                h.all_reduce_sum(&mut buf);
-                buf
-            })[0]
-                .clone();
-            let shards = run_replicas(4, move |h| {
-                let contrib = adversarial_payload(h.rank(), n);
-                let mut shard = Vec::new();
-                h.reduce_scatter_sum(&contrib, &mut shard);
-                (h.rank(), shard)
-            });
-            let mut rebuilt = vec![0.0f32; n];
-            for (rank, shard) in shards {
-                let (a, b) = shard_bounds(n, 4, rank);
-                assert_eq!(shard.len(), b - a);
-                rebuilt[a..b].copy_from_slice(&shard);
-            }
-            for (x, y) in rebuilt.iter().zip(flat.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_gather_into_slice_concatenates_in_rank_order() {
-        let results = run_replicas(3, |h| {
-            let local = [h.rank() as f32 * 10.0, h.rank() as f32 * 10.0 + 1.0];
-            let mut out = [0.0f32; 6];
-            h.all_gather_into_slice(&local, &mut out);
-            out.to_vec()
-        });
-        for r in results {
-            assert_eq!(r, vec![0.0, 1.0, 10.0, 11.0, 20.0, 21.0]);
+            h.all_reduce_mean(&mut buf);
+            let mut out = Vec::new();
+            h.all_gather(&buf[..5], &mut out);
+            h.broadcast(&mut buf, 0);
+            h.barrier();
+            h.stats()
+        }) {
+            assert_eq!(s.all_reduce_calls, 2);
+            assert_eq!(s.all_gather_calls, 1);
+            assert_eq!(s.broadcast_calls, 1);
+            assert_eq!(s.barrier_calls, 1);
+            // 10 + 10 + 5 + 10 elements × 4 bytes.
+            assert_eq!(s.payload_bytes, 35 * 4);
         }
     }
 
@@ -789,86 +582,29 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = Arc::new(AtomicUsize::new(0));
-        let handles = CommHandle::create(4);
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                let c = Arc::clone(&counter);
-                thread::spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    h.barrier();
-                    // After the barrier, all increments must be visible.
-                    assert_eq!(c.load(Ordering::SeqCst), 4);
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
+    fn steady_state_does_not_reallocate() {
+        // Warm up with the largest payloads, then hammer every op: the
+        // result shards and round scratch must not grow again.
+        for (warm, steady) in run_world(4, |h| {
+            let mut big = vec![h.rank() as f32; 4099];
+            let mut out = Vec::new();
+            let round = |big: &mut Vec<f32>, out: &mut Vec<f32>| {
+                h.all_reduce_sum(big);
+                h.all_reduce_sum(&mut big[..16]);
+                h.all_gather(&big[..64], out);
+                h.broadcast(big, 1);
+                h.barrier();
+            };
+            round(&mut big, &mut out);
+            // Every rank's warmup growth lands before anyone reads.
+            h.barrier();
+            let warm = h.scratch_reallocs();
+            for _ in 0..100 {
+                round(&mut big, &mut out);
+            }
+            (warm, h.scratch_reallocs())
+        }) {
+            assert_eq!(warm, steady, "steady-state rounds must not allocate");
         }
-    }
-
-    #[test]
-    fn steady_state_rounds_do_not_reallocate() {
-        // Warm up with the largest payload, then hammer the reduce path:
-        // the realloc counter must not move once capacities stabilize.
-        let handles = CommHandle::create(4);
-        let probe = CommHandle {
-            rank: handles[0].rank,
-            inner: Arc::clone(&handles[0].inner),
-        };
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                thread::spawn(move || {
-                    let mut big = vec![h.rank() as f32; 4096];
-                    let small = vec![1.0f32; 32];
-                    let mut gathered = Vec::new();
-                    // Warmup: grows scratch to the working-set maximum.
-                    h.all_reduce_sum(&mut big);
-                    h.all_gather_into(&small, &mut gathered);
-                    h.broadcast(&mut big, 0);
-                    h.barrier();
-                    (0, 0)
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
-        }
-        let after_warmup = probe.scratch_reallocs();
-
-        let handles2: Vec<CommHandle> = (0..4)
-            .map(|rank| CommHandle {
-                rank,
-                inner: Arc::clone(&probe.inner),
-            })
-            .collect();
-        let joins: Vec<_> = handles2
-            .into_iter()
-            .map(|h| {
-                thread::spawn(move || {
-                    let mut big = vec![h.rank() as f32; 4096];
-                    let small = vec![1.0f32; 32];
-                    let mut gathered = Vec::with_capacity(4 * 32);
-                    for _ in 0..100 {
-                        h.all_reduce_sum(&mut big);
-                        h.all_gather_into(&small, &mut gathered);
-                        h.broadcast(&mut big, 0);
-                        h.barrier();
-                    }
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(
-            probe.scratch_reallocs(),
-            after_warmup,
-            "steady-state rounds must not grow communicator scratch"
-        );
     }
 }

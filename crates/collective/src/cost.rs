@@ -60,13 +60,12 @@ pub fn tree_all_reduce_time(bytes: f64, p: usize, link: LinkSpec) -> f64 {
 }
 
 /// Payload size (bytes) at which the ring all-reduce becomes cheaper than
-/// the tree for `p` members — the `Auto` backend's switch point.
+/// the tree for `p` members — the `Auto` label's switch point.
 ///
 /// Closed form from equating the two α–β models with `L = ⌈log₂ p⌉`:
 /// `b* = α·B·(2(p−1) − 2L) / (2L − 2(p−1)/p)`. Below `b*` the tree's
 /// `2L` latency hops win; above it the ring's `2(p−1)/p` bandwidth factor
-/// wins. Depends only on `(p, link)`, so every rank computes the same
-/// crossover and the group never splits across transports.
+/// wins. Depends only on `(p, link)`.
 pub fn tree_ring_crossover_bytes(p: usize, link: LinkSpec) -> f64 {
     if p <= 1 {
         return 0.0;
@@ -101,20 +100,19 @@ pub fn torus_all_reduce_time(bytes: f64, slice: SliceShape, link: LinkSpec) -> f
 }
 
 /// Time for the 2-D grid all-reduce of `bytes` over a `rows × cols`
-/// **member** grid — the model for the `Torus2d` backend, which routes
+/// **member** grid — the model for the `Torus2d` label, which is priced
 /// over [`crate::topology::canonical_grid`] of the world size rather
 /// than the chip slice. Same three phases as
-/// [`torus_all_reduce_time`]; both paths price one formula, so the
-/// analytic tables and the executed backend agree.
+/// [`torus_all_reduce_time`]; both paths price one formula.
 pub fn grid_all_reduce_time(bytes: f64, rows: usize, cols: usize, link: LinkSpec) -> f64 {
     torus_all_reduce_time(bytes, SliceShape { rows, cols }, link)
 }
 
-/// The backend `Auto` settles on for a payload of `bytes` over `p`
-/// members: the cheapest of tree, flat ring, and (when the canonical
-/// grid has more than one row) the 2-D torus. Pure in `(bytes, p,
-/// link)`, so every rank picks the same transport. Ties resolve
-/// tree → torus2d → ring (prefer fewer latency hops).
+/// The algorithm the `Auto` label is priced as for a payload of `bytes`
+/// over `p` members: the cheapest of tree, flat ring, and (when the
+/// canonical grid has more than one row) the 2-D torus. Pure in
+/// `(bytes, p, link)`. Ties resolve tree → torus2d → ring (prefer fewer
+/// latency hops).
 pub fn auto_backend_choice(bytes: f64, p: usize, link: LinkSpec) -> crate::backend::Backend {
     use crate::backend::Backend;
     if p <= 1 {

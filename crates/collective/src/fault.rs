@@ -16,7 +16,7 @@
 //!   fails alone would deadlock its peers inside a collective).
 //! - [`CollectiveError`] — typed errors for the fallible collective API
 //!   ([`Collective::try_all_reduce_sum`] and friends) instead of panics.
-//! - [`FaultyCollective`] — a decorator that wraps *any* backend and
+//! - [`FaultyCollective`] — a decorator that wraps *any* collective and
 //!   injects scheduled transient failures into the fallible gradient
 //!   path, leaving the infallible paths (BN sync, eval, broadcast)
 //!   untouched.
@@ -822,7 +822,7 @@ impl FaultSchedule {
 // FaultyCollective: the decorator that injects scheduled failures.
 // ---------------------------------------------------------------------------
 
-/// Wraps any [`Collective`] backend and injects the schedule's transient
+/// Wraps any [`Collective`] and injects the schedule's transient
 /// failures into the **fallible** gradient path
 /// ([`Collective::try_all_reduce_sum`]). Infallible operations delegate
 /// untouched, so BN sync, distributed eval, and checkpoint broadcasts
@@ -905,9 +905,6 @@ impl Collective for FaultyCollective {
     }
     fn size(&self) -> usize {
         self.inner.size()
-    }
-    fn backend(&self) -> crate::backend::Backend {
-        self.inner.backend()
     }
     fn all_reduce_sum(&self, buf: &mut [f32]) {
         self.inner.all_reduce_sum(buf);

@@ -5,32 +5,24 @@
 //! - [`topology`] — TPU-v3 pod slices as 2-D chip tori (§2).
 //! - [`group`] — BN replica grouping: contiguous and 2-D tiled (§3.4).
 //! - [`backend`] — the [`Collective`] trait every consumer programs
-//!   against, with tree / ring / torus2d / auto backends selected per
-//!   experiment, all bitwise-identical via the canonical grid-blocked
-//!   fold.
-//! - [`comm`] — real shared-memory collectives for in-process replica
-//!   threads, with deterministic reduction order (the tree and torus
-//!   backends' engine).
-//! - [`hierarchical`] — the 2-D row/column exchange the torus2d backend
-//!   runs: row reduce-scatter, column all-reduce, row all-gather.
-//! - [`ring`] — a real ring all-reduce over point-to-point channels,
-//!   validating the algorithm the cost model prices.
+//!   against, and the [`Backend`] label (tree / ring / torus2d / auto)
+//!   that names how a run is priced and reported.
+//! - [`comm`] — the one shared-memory transport every label executes:
+//!   an in-place sharded all-reduce in the canonical grid-blocked fold,
+//!   plus gather, broadcast, and barrier rounds.
 //! - [`cost`] — α–β cost models for tree, ring, and 2-D torus/grid
-//!   all-reduce; their comparison drives the auto backend.
+//!   all-reduce, and the auto choice among them.
+//! - [`fault`] — deterministic fault plans, typed collective errors, and
+//!   the fault-injecting decorator.
 
 pub mod backend;
 pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod group;
-pub mod hierarchical;
-pub mod ring;
 pub mod topology;
 
-pub use backend::{
-    create_collective, create_ring_collectives, create_torus_collectives, AutoCollective, Backend,
-    Collective, CollectiveStats, RingCollective, Torus2dCollective, TreeCollective,
-};
+pub use backend::{create_collective, Backend, Collective, CollectiveStats};
 pub use comm::{shard_bounds, CommHandle};
 pub use cost::{
     auto_backend_choice, bn_sync_time, gradient_bytes, grid_all_reduce_time, ring_all_reduce_time,
@@ -41,6 +33,4 @@ pub use fault::{
     FaultyCollective, RetryOutcome, RetryPolicy,
 };
 pub use group::{bn_batch_size, bn_partition, GroupSpec};
-pub use hierarchical::{create_grid, GridMember};
-pub use ring::{create_ring, RingMember};
 pub use topology::{canonical_grid, SliceShape, CORES_PER_CHIP};

@@ -14,10 +14,10 @@ pub const CORES_PER_CHIP: usize = 2;
 /// `rows` is the largest divisor of `p` not exceeding `√p` (so
 /// `rows ≤ cols` and `rows · cols == p`).
 ///
-/// This grid is what the torus-2d backend routes over *and* what defines
-/// the canonical reduction order every backend folds in (block partials
-/// over `cols` consecutive ranks, then block sums across `rows` — see
-/// `crate::comm::CommHandle::all_reduce_sum_grid`). It is a pure function
+/// This grid is what the `Torus2d` label is priced over *and* what
+/// defines the canonical reduction order the in-process all-reduce folds
+/// in (block partials over `cols` consecutive ranks, then block sums
+/// across `rows` — see [`crate::comm`]). It is a pure function
 /// of `p`, so after an elastic shrink every survivor re-selects the same
 /// sub-torus from the surviving world size alone. Primes (and `p < 4`)
 /// degenerate to `(1, p)`, where the grid fold is the flat ascending fold.

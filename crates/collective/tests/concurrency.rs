@@ -1,36 +1,14 @@
-//! Concurrency stress tests of the collectives: many rounds, varying
-//! payloads, subgroup interleaving, and randomized equivalence between the
-//! tree, ring, and hierarchical grid implementations.
+//! Concurrency stress tests of the collectives: many rounds, subgroup
+//! interleaving, and randomized BN-group tilings.
 //!
 //! The offline proptest stub swallows `proptest!` bodies, so imports and
 //! helpers used only inside them look unused to clippy under the stub;
 //! with the real proptest they are all exercised.
 #![allow(unused_imports, dead_code)]
 
-use ets_collective::{create_grid, create_ring, CommHandle, GroupSpec, SliceShape};
+use ets_collective::{Collective, CommHandle, GroupSpec, SliceShape};
 use proptest::prelude::*;
 use std::thread;
-
-fn tree_reduce(
-    p: usize,
-    seed_fn: impl Fn(usize) -> Vec<f32> + Send + Sync + Clone + 'static,
-) -> Vec<Vec<f32>> {
-    let handles = CommHandle::create(p);
-    handles
-        .into_iter()
-        .map(|h| {
-            let sf = seed_fn.clone();
-            thread::spawn(move || {
-                let mut buf = sf(h.rank());
-                h.all_reduce_sum(&mut buf);
-                buf
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|j| j.join().unwrap())
-        .collect()
-}
 
 #[test]
 fn thousand_rounds_no_cross_talk() {
@@ -109,72 +87,6 @@ fn disjoint_subgroups_run_concurrently() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn tree_ring_grid_agree(
-        rows in 1usize..4,
-        cols in 1usize..4,
-        n in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let p = rows * cols;
-        prop_assume!(p >= 2);
-        let mk = move |rank: usize| -> Vec<f32> {
-            // Tiny splitmix-style generator: the payload just needs to be
-            // deterministic per (seed, rank) and varied.
-            let mut state = seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (0..n)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-                })
-                .collect()
-        };
-
-        let tree = tree_reduce(p, mk.clone());
-
-        let ring_members = create_ring(p);
-        let ring: Vec<Vec<f32>> = ring_members
-            .into_iter()
-            .map(|m| {
-                let mk = mk.clone();
-                thread::spawn(move || {
-                    let mut buf = mk(m.rank());
-                    m.all_reduce_sum(&mut buf);
-                    buf
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|j| j.join().unwrap())
-            .collect();
-
-        let grid_members = create_grid(rows, cols);
-        let grid: Vec<Vec<f32>> = grid_members
-            .into_iter()
-            .enumerate()
-            .map(|(id, m)| {
-                let mk = mk.clone();
-                thread::spawn(move || {
-                    let mut buf = mk(id);
-                    m.all_reduce_sum(&mut buf);
-                    buf
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|j| j.join().unwrap())
-            .collect();
-
-        for ((t, r), g) in tree.iter().zip(&ring).zip(&grid) {
-            for ((a, b), c) in t.iter().zip(r).zip(g) {
-                prop_assert!((a - b).abs() < 1e-3, "tree vs ring: {a} vs {b}");
-                prop_assert!((a - c).abs() < 1e-3, "tree vs grid: {a} vs {c}");
-            }
-        }
-    }
 
     #[test]
     fn tiled_groups_always_partition(

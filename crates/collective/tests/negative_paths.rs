@@ -1,6 +1,6 @@
-//! Negative-path coverage for the collective backends: malformed calls
-//! must surface as typed [`CollectiveError`]s, never as panics or hangs,
-//! on every backend and including the degenerate world size of 1.
+//! Negative-path coverage for the collectives: malformed calls must
+//! surface as typed [`CollectiveError`]s or as panics on every rank, never
+//! as hangs or out-of-bounds reads, including the degenerate world of 1.
 
 use ets_collective::{
     create_collective, retry_collective, Backend, Collective, CollectiveError, FaultPlan,
@@ -8,88 +8,144 @@ use ets_collective::{
 };
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
-const BACKENDS: [Backend; 3] = [Backend::Tree, Backend::Ring, Backend::Auto];
-
-#[test]
-fn zero_length_all_reduce_is_a_typed_error() {
-    for backend in BACKENDS {
-        for world in [1usize, 2, 4] {
-            let comms = create_collective(backend, world);
-            let joins: Vec<_> = comms
-                .into_iter()
-                .map(|c| {
-                    thread::spawn(move || {
-                        let mut empty: Vec<f32> = Vec::new();
-                        c.try_all_reduce_sum(&mut empty)
-                    })
-                })
-                .collect();
-            for j in joins {
-                let err = j.join().expect("no panic").unwrap_err();
-                assert!(
-                    matches!(err, CollectiveError::EmptyPayload { op } if op == "all_reduce_sum"),
-                    "{backend} × {world}: got {err}"
-                );
-                assert!(!err.is_transient(), "empty payload is permanent");
-            }
-        }
-    }
+fn world(size: usize) -> Vec<Box<dyn Collective>> {
+    create_collective(Backend::default(), size)
 }
 
 #[test]
-fn zero_length_broadcast_and_gather_are_typed_errors() {
-    for backend in BACKENDS {
-        let comms = create_collective(backend, 2);
-        let joins: Vec<_> = comms
+fn zero_length_all_reduce_is_a_typed_error() {
+    for size in [1usize, 2, 4] {
+        let joins: Vec<_> = world(size)
             .into_iter()
             .map(|c| {
                 thread::spawn(move || {
                     let mut empty: Vec<f32> = Vec::new();
-                    let b = c.try_broadcast(&mut empty, 0);
-                    let mut out = Vec::new();
-                    let g = c.try_all_gather(&[], &mut out);
-                    (b, g)
-                })
-            })
-            .collect();
-        for j in joins {
-            let (b, g) = j.join().expect("no panic");
-            assert!(matches!(
-                b.unwrap_err(),
-                CollectiveError::EmptyPayload { op: "broadcast" }
-            ));
-            assert!(matches!(
-                g.unwrap_err(),
-                CollectiveError::EmptyPayload { op: "all_gather" }
-            ));
-        }
-    }
-}
-
-#[test]
-fn out_of_range_broadcast_root_is_a_typed_error() {
-    for backend in BACKENDS {
-        let comms = create_collective(backend, 2);
-        let joins: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let mut buf = vec![1.0f32];
-                    c.try_broadcast(&mut buf, 7)
+                    c.try_all_reduce_sum(&mut empty)
                 })
             })
             .collect();
         for j in joins {
             let err = j.join().expect("no panic").unwrap_err();
-            match err {
-                CollectiveError::InvalidRoot { root, size } => {
-                    assert_eq!(root, 7);
-                    assert_eq!(size, 2);
-                }
-                other => panic!("{backend}: expected InvalidRoot, got {other}"),
-            }
+            assert!(
+                matches!(err, CollectiveError::EmptyPayload { op } if op == "all_reduce_sum"),
+                "world {size}: got {err}"
+            );
+            assert!(!err.is_transient(), "empty payload is permanent");
         }
+    }
+}
+
+#[test]
+fn mismatched_all_reduce_lengths_panic_on_every_rank() {
+    // One rank's buffer is one element short: every rank must see the
+    // mismatch after the first barrier and panic before reading any
+    // peer's buffer, so no rank hangs at the second barrier.
+    for size in [2usize, 3] {
+        let joins: Vec<_> = world(size)
+            .into_iter()
+            .map(|c| {
+                thread::spawn(move || {
+                    let n = if c.rank() == size - 1 { 63 } else { 64 };
+                    let mut buf = vec![1.0f32; n];
+                    c.all_reduce_sum(&mut buf);
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !joins.iter().all(|j| j.is_finished()) {
+            assert!(Instant::now() < deadline, "world {size}: a rank hung");
+            thread::sleep(Duration::from_millis(5));
+        }
+        for j in joins {
+            let err = j.join().expect_err("every rank must panic");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "mismatched all-reduce lengths", "world {size}");
+        }
+    }
+}
+
+#[test]
+fn overlapping_all_reduce_calls_on_one_handle_panic() {
+    // Two threads share rank 0's handle. Neither call can return before
+    // rank 1 joins, so the second to enter must panic before it reaches
+    // the barrier, and the first must still reduce correctly.
+    let mut comms = world(2);
+    let rank1 = comms.pop().unwrap();
+    let rank0 = Arc::new(comms.pop().unwrap());
+    let calls: Vec<_> = (0..2)
+        .map(|_| {
+            let c = Arc::clone(&rank0);
+            thread::spawn(move || {
+                let mut buf = vec![1.0f32; 8];
+                c.all_reduce_sum(&mut buf);
+                buf
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !calls.iter().any(|j| j.is_finished()) {
+        assert!(Instant::now() < deadline, "neither call was rejected");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let mut buf = vec![2.0f32; 8];
+    rank1.all_reduce_sum(&mut buf);
+    assert_eq!(buf, vec![3.0; 8]);
+    let (ok, err): (Vec<_>, Vec<_>) = calls.into_iter().map(|j| j.join()).partition(Result::is_ok);
+    assert_eq!(ok.len(), 1, "exactly one call must be rejected");
+    assert_eq!(ok[0].as_ref().unwrap(), &vec![3.0; 8]);
+    let msg = err[0]
+        .as_ref()
+        .unwrap_err()
+        .downcast_ref::<String>()
+        .cloned();
+    assert!(msg
+        .unwrap_or_default()
+        .contains("overlapping all_reduce_sum calls"));
+}
+
+#[test]
+fn zero_length_broadcast_and_gather_are_typed_errors() {
+    let joins: Vec<_> = world(2)
+        .into_iter()
+        .map(|c| {
+            thread::spawn(move || {
+                let mut empty: Vec<f32> = Vec::new();
+                let b = c.try_broadcast(&mut empty, 0);
+                let mut out = Vec::new();
+                let g = c.try_all_gather(&[], &mut out);
+                (b, g)
+            })
+        })
+        .collect();
+    for j in joins {
+        let (b, g) = j.join().expect("no panic");
+        assert!(matches!(
+            b.unwrap_err(),
+            CollectiveError::EmptyPayload { op: "broadcast" }
+        ));
+        assert!(matches!(
+            g.unwrap_err(),
+            CollectiveError::EmptyPayload { op: "all_gather" }
+        ));
+    }
+}
+
+#[test]
+fn out_of_range_broadcast_root_is_a_typed_error() {
+    let joins: Vec<_> = world(2)
+        .into_iter()
+        .map(|c| {
+            thread::spawn(move || {
+                let mut buf = vec![1.0f32];
+                c.try_broadcast(&mut buf, 7)
+            })
+        })
+        .collect();
+    for j in joins {
+        let err = j.join().expect("no panic").unwrap_err();
+        assert_eq!(err, CollectiveError::InvalidRoot { root: 7, size: 2 });
     }
 }
 
@@ -97,17 +153,14 @@ fn out_of_range_broadcast_root_is_a_typed_error() {
 fn world_of_one_succeeds_on_well_formed_calls() {
     // Size-1 worlds are the identity collective: every well-formed try_*
     // call must succeed without blocking.
-    for backend in BACKENDS {
-        let mut comms = create_collective(backend, 1);
-        let c = comms.pop().unwrap();
-        let mut buf = vec![3.0f32, -1.0];
-        c.try_all_reduce_sum(&mut buf).unwrap();
-        assert_eq!(buf, vec![3.0, -1.0], "identity sum");
-        c.try_broadcast(&mut buf, 0).unwrap();
-        let mut out = Vec::new();
-        c.try_all_gather(&[5.0], &mut out).unwrap();
-        assert_eq!(out, vec![5.0]);
-    }
+    let c = world(1).pop().unwrap();
+    let mut buf = vec![3.0f32, -1.0];
+    c.try_all_reduce_sum(&mut buf).unwrap();
+    assert_eq!(buf, vec![3.0, -1.0], "identity sum");
+    c.try_broadcast(&mut buf, 0).unwrap();
+    let mut out = Vec::new();
+    c.try_all_gather(&[5.0], &mut out).unwrap();
+    assert_eq!(out, vec![5.0]);
 }
 
 #[test]
@@ -127,35 +180,32 @@ fn exhausted_retries_surface_as_retries_exhausted_not_panic() {
         multiplier: 2.0,
     };
     let schedule = Arc::new(plan.compile(4));
-    for backend in [Backend::Tree, Backend::Ring] {
-        let comms = create_collective(backend, 2);
-        let joins: Vec<_> = comms
-            .into_iter()
-            .map(|inner| {
-                let schedule = Arc::clone(&schedule);
-                thread::spawn(move || {
-                    let faulty = FaultyCollective::new(inner, schedule);
-                    faulty.set_step(0);
-                    let mut buf = vec![1.0f32, 2.0];
-                    let before = buf.clone();
-                    let res = retry_collective(&policy, || faulty.try_all_reduce_sum(&mut buf));
-                    // Failed attempts must not have touched the payload.
-                    assert_eq!(buf, before, "payload corrupted by failed attempts");
-                    (res.unwrap_err(), faulty.injected_failures())
-                })
+    let joins: Vec<_> = world(2)
+        .into_iter()
+        .map(|inner| {
+            let schedule = Arc::clone(&schedule);
+            thread::spawn(move || {
+                let faulty = FaultyCollective::new(inner, schedule);
+                faulty.set_step(0);
+                let mut buf = vec![1.0f32, 2.0];
+                let before = buf.clone();
+                let res = retry_collective(&policy, || faulty.try_all_reduce_sum(&mut buf));
+                // Failed attempts must not have touched the payload.
+                assert_eq!(buf, before, "payload corrupted by failed attempts");
+                (res.unwrap_err(), faulty.injected_failures())
             })
-            .collect();
-        for j in joins {
-            let (err, injected) = j.join().expect("no panic");
-            match err {
-                CollectiveError::RetriesExhausted { attempts, last } => {
-                    assert_eq!(attempts, 3, "{backend}");
-                    assert!(last.is_transient(), "{backend}: last error {last}");
-                }
-                other => panic!("{backend}: expected RetriesExhausted, got {other}"),
+        })
+        .collect();
+    for j in joins {
+        let (err, injected) = j.join().expect("no panic");
+        match err {
+            CollectiveError::RetriesExhausted { attempts, last } => {
+                assert_eq!(attempts, 3);
+                assert!(last.is_transient(), "last error {last}");
             }
-            assert_eq!(injected, 3, "{backend}: one injection per attempt");
+            other => panic!("expected RetriesExhausted, got {other}"),
         }
+        assert_eq!(injected, 3, "one injection per attempt");
     }
 }
 
@@ -170,8 +220,7 @@ fn transient_errors_clear_when_the_step_advances() {
         kind: ets_collective::FaultKind::TransientCollective { failures: 1 },
     });
     let schedule = Arc::new(plan.compile(4));
-    let comms = create_collective(Backend::Tree, 2);
-    let joins: Vec<_> = comms
+    let joins: Vec<_> = world(2)
         .into_iter()
         .map(|inner| {
             let schedule = Arc::clone(&schedule);

@@ -1,4 +1,4 @@
-//! Wiring `ets-collective` backends into `ets-nn`'s batch norm: the
+//! Wiring `ets-collective` into `ets-nn`'s batch norm: the
 //! distributed batch normalization of §3.4, executed for real.
 //!
 //! Each replica gets a [`GroupStatSync`] bound to its BN group's
@@ -11,7 +11,7 @@
 //! BN sync fires once per BN layer per step, thousands of times per run,
 //! and must not allocate in the steady state.
 
-use ets_collective::{Collective, CollectiveStats, CommHandle, TreeCollective};
+use ets_collective::{Collective, CollectiveStats, CommHandle};
 use ets_nn::StatSync;
 use parking_lot::Mutex;
 
@@ -32,9 +32,9 @@ impl GroupStatSync {
         }
     }
 
-    /// Convenience: wraps a raw tree communicator handle.
+    /// Convenience: wraps a raw communicator handle.
     pub fn from_handle(handle: CommHandle) -> Self {
-        Self::new(Box::new(TreeCollective::new(handle)))
+        Self::new(Box::new(handle))
     }
 
     /// Byte/call counters of the underlying collective.
@@ -73,27 +73,25 @@ mod tests {
 
     #[test]
     fn reduces_across_group() {
-        for backend in Backend::ALL {
-            let world = create_collective(backend, 4);
-            let joins: Vec<_> = world
-                .into_iter()
-                .map(|c| {
-                    thread::spawn(move || {
-                        let rank = c.rank() as f32;
-                        let sync = GroupStatSync::new(c);
-                        let mut a = vec![rank, 1.0];
-                        let mut b = vec![rank * rank];
-                        let count = sync.reduce_pair(&mut a, &mut b, 10.0);
-                        (a, b, count)
-                    })
+        let world = create_collective(Backend::Tree, 4);
+        let joins: Vec<_> = world
+            .into_iter()
+            .map(|c| {
+                thread::spawn(move || {
+                    let rank = c.rank() as f32;
+                    let sync = GroupStatSync::new(c);
+                    let mut a = vec![rank, 1.0];
+                    let mut b = vec![rank * rank];
+                    let count = sync.reduce_pair(&mut a, &mut b, 10.0);
+                    (a, b, count)
                 })
-                .collect();
-            for j in joins {
-                let (a, b, count) = j.join().unwrap();
-                assert_eq!(a, vec![6.0, 4.0], "{backend}");
-                assert_eq!(b, vec![14.0], "{backend}");
-                assert_eq!(count, 40.0, "{backend}");
-            }
+            })
+            .collect();
+        for j in joins {
+            let (a, b, count) = j.join().unwrap();
+            assert_eq!(a, vec![6.0, 4.0]);
+            assert_eq!(b, vec![14.0]);
+            assert_eq!(count, 40.0);
         }
     }
 

@@ -99,11 +99,11 @@ pub struct Experiment {
     pub decay: DecayChoice,
     /// Batch-norm replica grouping (§3.4).
     pub bn_group: GroupSpec,
-    /// Which collective transport moves gradients, BN statistics, eval
-    /// counts, and init broadcasts. `Tree` (the default) is bitwise
-    /// compatible with the seed trainer; `Ring` is bandwidth-optimal;
-    /// `Auto` switches at the α–β crossover. Old configs without the
-    /// field deserialize to `Tree`.
+    /// Pricing and report label: the pod all-reduce algorithm this run
+    /// is reported under (`TrainReport`'s backend, the pod simulator's
+    /// α–β costs). In process, every label executes the same
+    /// shared-memory transport, so it never changes a trajectory. Old
+    /// configs without the field deserialize to `Tree`.
     #[serde(default)]
     pub collective_backend: Backend,
     /// Deterministic fault-injection schedule (chaos testing). The

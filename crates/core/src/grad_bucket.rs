@@ -15,15 +15,15 @@
 //!   its own collective call and timed individually
 //!   ([`AllReduceProfile`]), so per-size behavior is observable.
 //!
-//! Determinism note: the tree backend reduces element-wise in ascending
-//! rank order, so bucketizing cannot change its results — the bucketized
-//! trainer stays bitwise on the seed trajectory. The ring backend chunks
-//! by buffer length, so bucket layout is part of its (fixed, reproducible)
-//! reduction order.
+//! Determinism note: the all-reduce folds each element across ranks in
+//! the canonical order of the world size, independent of the buffer's
+//! length and of how it is sharded, so bucketizing cannot change its
+//! results — the bucketized trainer stays bitwise on the unbucketed
+//! trajectory.
 //!
 //! ## Cross-rank gradient fingerprints (opt-in)
 //!
-//! Every backend produces **bitwise-identical** reduced buffers on all
+//! The all-reduce produces **bitwise-identical** reduced buffers on all
 //! ranks — that invariant is what the whole trainer's SPMD symmetry
 //! rests on, and it makes silent receive-side payload corruption (a bit
 //! flip in one rank's copy of the reduced gradients, the classic
@@ -441,7 +441,7 @@ impl GradBucket {
     ///
     /// Determinism: every rank ships buckets in the same descending
     /// order, each bucket's collective reduces the same element ranges
-    /// with the same backend as the serialized path, and averaging is
+    /// with the same collective as the serialized path, and averaging is
     /// unchanged — so the reduced gradients, the mean loss, and therefore
     /// the whole training trajectory are **bitwise identical** to
     /// [`GradBucket::all_reduce_with_retry`] after a plain backward, at

@@ -4,8 +4,7 @@
 //! Faithfully reproduced mechanics:
 //! - **Data parallelism**: every replica holds a full model copy and a
 //!   disjoint shard of each global batch; gradients are summed with a
-//!   deterministic collective (tree, ring, or auto — see
-//!   [`ets_collective::Backend`], selected per experiment) and averaged,
+//!   deterministic shared-memory all-reduce and averaged,
 //!   so all replicas take bitwise-identical optimizer steps (asserted via
 //!   a final weight checksum across replicas). Gradients move through a
 //!   bucketized persistent flat buffer ([`crate::grad_bucket`]) with
@@ -190,9 +189,10 @@ fn distributed_eval(
     all_reduce_counts(local, comm)
 }
 
-/// The replica's gradient collective: either the raw backend or the same
-/// backend behind a fault-injection decorator. BN-group collectives stay
-/// unwrapped — the fault model targets the world-wide gradient exchange.
+/// The replica's gradient collective: either the raw collective or the
+/// same collective behind a fault-injection decorator. BN-group
+/// collectives stay unwrapped — the fault model targets the world-wide
+/// gradient exchange.
 enum WorldComm {
     Plain(Box<dyn Collective>),
     Faulty(FaultyCollective),
@@ -525,10 +525,10 @@ fn train_recorded(exp: &Experiment, recorders: &[Arc<Recorder>]) -> TrainReport 
         view.replicas = world;
 
         // World collective for gradients/eval/init, per-group collectives
-        // for BN — all on the experiment's chosen backend, rebuilt for
-        // the current world. `bn_partition` regroups the experiment's BN
-        // spec onto the surviving world (2-D tiles degrade to contiguous
-        // groups when the torus geometry no longer exists).
+        // for BN — all rebuilt for the current world. `bn_partition`
+        // regroups the experiment's BN spec onto the surviving world (2-D
+        // tiles degrade to contiguous groups when the torus geometry no
+        // longer exists).
         let world_comms = create_collective(backend, world);
         let mut bn_comms: Vec<Option<Box<dyn Collective>>> = (0..world).map(|_| None).collect();
         if world > 1 && !matches!(exp.bn_group, ets_collective::GroupSpec::Local) {

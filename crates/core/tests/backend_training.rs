@@ -1,15 +1,16 @@
-//! End-to-end check of the collective-backend contract through the full
-//! trainer: the same proxy experiment trained under the tree and ring
-//! backends must follow numerically indistinguishable trajectories.
-//! Both backends reduce with the canonical ascending-rank fold, so the
-//! trajectories are in fact bitwise identical; the 1e-4 loss band is the
-//! acceptance ceiling, not the expectation. (Training dynamics are
-//! chaotic — anything looser than a canonical reduction order would blow
-//! past any fixed tolerance within an epoch.) Each backend individually
-//! must also be bitwise run-to-run reproducible.
+//! End-to-end pins of the gradient all-reduce through the full trainer.
+//!
+//! The proxy experiment's final weight checksum and the bits of every
+//! epoch's train loss are pinned at worlds 2 and 3 (flat folds) and 4, 6
+//! and 8 (the 2×2, 2×3 and 2×4 canonical grids). The literals are the
+//! trajectories of the earlier per-label transports — tree, ring,
+//! torus2d and auto all produced them — so they pin that the one
+//! shared-memory transport folds in exactly the same order. Training
+//! dynamics are chaotic: any other reduction order would leave these
+//! bits within an epoch. Matching a literal on every run also pins
+//! run-to-run reproducibility.
 
-use ets_collective::Backend;
-use ets_train::{train, Experiment, TrainReport};
+use ets_train::{train, Experiment};
 
 fn base() -> Experiment {
     let mut e = Experiment::proxy_default();
@@ -21,101 +22,48 @@ fn base() -> Experiment {
     e
 }
 
-fn run(backend: Backend) -> TrainReport {
-    let mut e = base();
-    e.collective_backend = backend;
-    train(&e)
-}
+/// `(world, weight checksum, per-epoch train-loss bits)`.
+const PINS: [(usize, u64, [u32; 3]); 5] = [
+    (
+        2,
+        0x5f92_1d81_94d4_3363,
+        [0x4007_e168, 0x400a_812c, 0x4010_b1f3],
+    ),
+    (
+        3,
+        0x0ef9_2a1f_ab89_1dd7,
+        [0x400a_ae87, 0x4007_b7a3, 0x400d_3b28],
+    ),
+    (
+        4,
+        0xb60d_6415_a5d8_98fe,
+        [0x4008_197c, 0x4008_e9e4, 0x400e_204b],
+    ),
+    (
+        6,
+        0x2c61_d8c5_df89_8b02,
+        [0x4008_c84c, 0x400a_4e89, 0x400d_f41d],
+    ),
+    (
+        8,
+        0x3f50_985d_ecd9_653e,
+        [0x4009_8ced, 0x4009_3f1b, 0x400d_37cd],
+    ),
+];
 
 #[test]
-fn tree_and_ring_train_to_the_same_losses() {
-    let tree = run(Backend::Tree);
-    let ring = run(Backend::Ring);
-    assert_eq!(tree.history.len(), ring.history.len());
-    for (t, r) in tree.history.iter().zip(&ring.history) {
-        assert!(
-            (t.train_loss - r.train_loss).abs() < 1e-4,
-            "epoch {}: tree loss {} vs ring loss {}",
-            t.epoch,
-            t.train_loss,
-            r.train_loss
-        );
-        assert_eq!(t.lr, r.lr, "schedules must not depend on the backend");
-    }
-    assert!(
-        (tree.final_loss() - ring.final_loss()).abs() < 1e-4,
-        "final losses diverged: {} vs {}",
-        tree.final_loss(),
-        ring.final_loss()
-    );
-}
-
-#[test]
-fn all_four_backends_train_to_bitwise_identical_trajectories() {
-    // Tree, ring, torus2d, and auto all commit to the canonical
-    // grid-blocked fold, so the trainer-level trajectories are bitwise
-    // identical — not merely close.
-    let tree = run(Backend::Tree);
-    for backend in [Backend::Ring, Backend::Torus2d, Backend::Auto] {
-        let other = run(backend);
-        assert_eq!(
-            tree.weight_checksum, other.weight_checksum,
-            "{backend}: final weights diverged from tree"
-        );
-        assert_eq!(tree.history.len(), other.history.len());
-        for (t, o) in tree.history.iter().zip(&other.history) {
-            assert_eq!(
-                t.train_loss, o.train_loss,
-                "epoch {}: {backend} loss diverged from tree",
-                t.epoch
-            );
-            assert_eq!(t.lr, o.lr, "schedules must not depend on the backend");
-        }
-    }
-}
-
-#[test]
-fn each_backend_is_run_to_run_bitwise_reproducible() {
-    for backend in Backend::ALL {
-        let a = run(backend);
-        let b = run(backend);
-        assert_eq!(
-            a.weight_checksum, b.weight_checksum,
-            "{backend}: weight checksum drifted across runs"
-        );
-        for (x, y) in a.history.iter().zip(&b.history) {
-            assert_eq!(x.train_loss, y.train_loss, "{backend}: loss drift");
-        }
-    }
-}
-
-#[test]
-fn auto_backend_tracks_the_fixed_backends() {
-    // The proxy's gradient payload sits on one side of the α–β crossover;
-    // whichever side that is, auto must land within the same 1e-4 band.
-    let tree = run(Backend::Tree);
-    let auto = run(Backend::Auto);
-    assert!(
-        (tree.final_loss() - auto.final_loss()).abs() < 1e-4,
-        "auto diverged from tree: {} vs {}",
-        tree.final_loss(),
-        auto.final_loss()
-    );
-}
-
-#[test]
-fn bucket_profile_is_populated_under_every_backend() {
-    for backend in Backend::ALL {
-        let r = run(backend);
+fn trajectories_match_the_pinned_bits() {
+    for (world, checksum, losses) in PINS {
+        let mut e = base();
+        e.replicas = world;
+        let r = train(&e);
+        let got: Vec<u32> = r.history.iter().map(|h| h.train_loss.to_bits()).collect();
+        assert_eq!(got, losses, "world {world}: train-loss bits");
+        assert_eq!(r.weight_checksum, checksum, "world {world}: weights");
+        // The per-bucket profile covers the whole flat gradient + loss.
         let prof = &r.all_reduce_buckets;
-        assert!(prof.num_buckets() > 0, "{backend}: no buckets recorded");
-        assert!(prof.rounds > 0, "{backend}: no rounds recorded");
-        assert!(
-            prof.total_seconds() >= 0.0 && prof.total_seconds().is_finite(),
-            "{backend}: nonsensical bucket timing"
-        );
-        // Bucket layout covers the whole flat gradient + loss scalar.
-        let elems: usize = prof.bucket_elems.iter().sum();
-        assert!(elems > 0, "{backend}: empty bucket layout");
+        assert!(prof.num_buckets() > 0 && prof.rounds > 0, "world {world}");
+        assert!(prof.bucket_elems.iter().sum::<usize>() > 0);
+        assert!(prof.total_seconds().is_finite() && prof.total_seconds() >= 0.0);
     }
 }

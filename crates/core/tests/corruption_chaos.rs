@@ -425,18 +425,12 @@ fn corruption_knobs_default_off_and_round_trip() {
 }
 
 /// CI corruption soak: a larger seeded cocktail, parameterized by the
-/// same env matrix as the elastic soak. The damage report is written as
+/// same world-size matrix as the elastic soak. The damage report is written as
 /// a CI artifact when `ETS_SOAK_OUT` is set.
 #[test]
-#[ignore = "CI chaos soak: run with ETS_SOAK_BACKEND/ETS_SOAK_WORLD set"]
+#[ignore = "CI chaos soak: run with ETS_SOAK_WORLD set"]
 fn corruption_chaos_soak() {
     let _g = serial();
-    let backend = match std::env::var("ETS_SOAK_BACKEND").as_deref() {
-        Ok("ring") => Backend::Ring,
-        Ok("torus2d") => Backend::Torus2d,
-        Ok("auto") => Backend::Auto,
-        _ => Backend::Tree,
-    };
     let world: usize = std::env::var("ETS_SOAK_WORLD")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -446,7 +440,7 @@ fn corruption_chaos_soak() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
 
-    let mut e = abft_exp(backend, world);
+    let mut e = abft_exp(Backend::default(), world);
     e.scrub_after_resize = true;
     let nominal = e.epochs * e.steps_per_epoch() as u64;
     let horizon_s = nominal as f64 * e.faults.virtual_step_seconds;
@@ -459,10 +453,8 @@ fn corruption_chaos_soak() {
     assert_eq!(rec.rank_quarantines, 0);
     if let Ok(out) = std::env::var("ETS_SOAK_OUT") {
         std::fs::create_dir_all(&out).unwrap();
-        let path = std::path::Path::new(&out).join(format!(
-            "corruption-chaos-{}-w{world}-s{seed}.json",
-            backend.name()
-        ));
+        let path =
+            std::path::Path::new(&out).join(format!("corruption-chaos-w{world}-s{seed}.json"));
         std::fs::write(&path, r.to_json()).unwrap();
     }
 }

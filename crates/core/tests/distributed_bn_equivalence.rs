@@ -31,8 +31,8 @@ fn shard(full: &Tensor, r: usize) -> Tensor {
 
 #[test]
 fn grouped_bn_equals_full_batch_bn() {
-    // Tree is the seed-compatible default; the ring backend must satisfy
-    // the same semantic equivalence within the test's tolerances.
+    // Both labels run the one shared-memory transport; each must satisfy
+    // the semantic equivalence within the test's tolerances.
     for backend in [Backend::Tree, Backend::Ring] {
         for shards in [2usize, 4] {
             let x = full_batch(7, shards);

@@ -3,13 +3,12 @@
 //! The overlapped exchange fires each bucket's all-reduce from a per-step
 //! communication thread while backward is still running, so its claim —
 //! bitwise-identical training at any thread schedule — has to hold across
-//! every backend, world size, and fault plan. These tests pin exactly
+//! every world size and fault plan. These tests pin exactly
 //! that: full training runs with overlap on must reproduce the serialized
 //! runs' weight checksums, histories, and recovery counters bit for bit.
 //!
-//! Bucket layout is held fixed across each on/off pair (the ring backend
-//! folds buffer length into its reduction order, so layout is part of the
-//! trajectory; overlap must not be tested through a layout change).
+//! Bucket layout is held fixed across each on/off pair, so each pair
+//! isolates the overlap itself.
 
 use ets_collective::{Backend, FaultEvent, FaultKind};
 use ets_train::{train, Experiment};

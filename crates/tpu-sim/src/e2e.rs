@@ -78,10 +78,9 @@ pub fn time_to_accuracy(cfg: &RunConfig) -> RunOutcome {
 }
 
 /// Runs the composite model with the gradient exchange priced under an
-/// explicit collective backend ([`Backend::Auto`] resolves per call via
+/// explicit collective label ([`Backend::Auto`] resolves per payload via
 /// the α–β cost models). Figure 1's committed rows use this with `Auto`
-/// so the figure reflects the torus pricing the executed backend
-/// dispatch actually picks at each world size.
+/// so the figure reflects the cheapest pod algorithm at each world size.
 pub fn time_to_accuracy_for_backend(cfg: &RunConfig, backend: Backend) -> RunOutcome {
     outcome_from_step_time(
         cfg,

@@ -316,11 +316,11 @@ mod tests {
 
     #[test]
     fn executed_grid_exchange_matches_backend_pricing() {
-        // The Torus2d backend routes over canonical_grid(world), not the
+        // The Torus2d label is priced over canonical_grid(world), not the
         // chip slice. The event-driven simulator run on that member grid
         // must agree with `grid_all_reduce_time` — the formula the
-        // scaling bench's analytic per-backend rows use — so the
-        // executed path and the analytic path price the same exchange.
+        // scaling bench's analytic per-label rows use — so the
+        // simulated and the analytic path price the same exchange.
         use ets_collective::{canonical_grid, grid_all_reduce_time};
         for &world in &[64usize, 1024, 2048, 4096] {
             let (rows, cols) = canonical_grid(world);

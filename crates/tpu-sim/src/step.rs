@@ -161,8 +161,8 @@ pub fn step_time(cfg: &StepConfig) -> StepTime {
 /// collective backend over `cores` replicas — the per-backend pricing
 /// behind the scaling bench's flat-ring vs torus-2d rows. The torus
 /// prices [`grid_all_reduce_time`] on [`canonical_grid`]`(cores)`: the
-/// member grid the executed `Torus2d` backend actually routes over (not
-/// the chip slice), so the analytic rows and the executed path agree.
+/// member grid (not the chip slice) whose blocked fold the in-process
+/// all-reduce also reduces in.
 pub fn backend_all_reduce_time(backend: Backend, bytes: f64, cores: usize, link: LinkSpec) -> f64 {
     match backend {
         Backend::Tree => tree_all_reduce_time(bytes, cores, link),
@@ -183,8 +183,7 @@ pub fn backend_all_reduce_time(backend: Backend, bytes: f64, cores: usize, link:
 /// The concrete backend [`Backend::Auto`] resolves to for `cfg`'s
 /// gradient exchange: the α–β cost models priced at the run's gradient
 /// volume and world size over the calibrated link. Figure 1's e2e rows
-/// record this so the committed figure names the transport the executed
-/// `Auto` path would actually route over.
+/// record this so the committed figure names the algorithm it charges.
 pub fn auto_backend_for(cfg: &StepConfig) -> Backend {
     let stats = model_stats(&ModelConfig::variant(cfg.variant));
     ets_collective::auto_backend_choice(stats.gradient_bytes(), cfg.cores, calibrated_link())
