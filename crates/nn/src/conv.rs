@@ -15,6 +15,7 @@ use ets_tensor::ops::conv::{
 };
 use ets_tensor::ops::dispatch::{GemmPolicy, GemmPrecision};
 use ets_tensor::{init, Rng, Tensor};
+use std::borrow::Cow;
 
 /// Numeric policy for conv products.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -48,12 +49,13 @@ impl Precision {
         }
     }
 
-    /// Rounds a tensor through bf16 when mixed (used by the depthwise
-    /// direct-loop kernels, which have no GEMM to pack into).
-    fn prep(&self, t: &Tensor) -> Tensor {
+    /// Rounds a tensor through bf16 when mixed and borrows it unchanged
+    /// otherwise (used by the depthwise direct-loop kernels, which have
+    /// no GEMM to pack into).
+    fn prep<'a>(&self, t: &'a Tensor) -> Cow<'a, Tensor> {
         match self {
-            Precision::F32 => t.clone(),
-            Precision::MixedBf16 => quantize_tensor(t),
+            Precision::F32 => Cow::Borrowed(t),
+            Precision::MixedBf16 => Cow::Owned(quantize_tensor(t)),
         }
     }
 }
@@ -164,7 +166,7 @@ impl DepthwiseConv2d {
 
 impl Layer for DepthwiseConv2d {
     fn forward(&mut self, x: &Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
-        let xq = self.precision.prep(x);
+        let xq = self.precision.prep(x).into_owned();
         let wq = self.precision.prep(&self.weight.value);
         let y = depthwise_forward(&xq, &wq, self.stride, self.pad);
         self.cache_x = Some(xq);

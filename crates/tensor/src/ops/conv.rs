@@ -8,7 +8,9 @@
 //!
 //! The im2col patch matrix for one image is `K×P` with `K = C_in·KH·KW` and
 //! `P = H_out·W_out`, so the forward pass is a single `C_out×K · K×P` GEMM
-//! per image. Batch images run in parallel on rayon workers.
+//! per image. Images run one after another on the calling thread (the
+//! in-tree `rayon` is a sequential stub); the parallelism is inside the
+//! blocked GEMM, whose tile grid fans out to the [`crate::par`] pool.
 //!
 //! Kernel routing: shapes past the [`dispatch::blocked_profitable`]
 //! threshold take the packed blocked kernels — forward additionally
@@ -17,23 +19,47 @@
 //! gathered straight into the kernel's tile-major B panels, so the `K×P`
 //! patch matrix is never materialized. Small shapes keep the naive
 //! streaming kernels with an arena-scratch patch buffer. All short-lived
-//! buffers (patches, packed panels, per-image `dw` partials) come from
-//! the thread-local scratch arena, so steady-state calls never touch the
-//! allocator.
+//! buffers (patches, packed panels, staged image groups, per-image `dw`
+//! partials) come from the thread-local scratch arena, so steady-state
+//! calls never touch the allocator.
 //!
-//! Determinism: every reduction has a fixed association. The per-image
-//! `dw` partial for image `i` is always exactly `dY_i · patches_iᵀ`
-//! (never a rayon fold grouping, which work stealing would make
-//! nondeterministic), and partials are combined by a stride-doubling
-//! pairwise tree whose shape depends only on the batch size.
+//! Pointwise path: a 1×1 / stride 1 / pad 0 conv has a patch matrix that
+//! *is* the NCHW image slice, so it skips im2col, col2im and the
+//! `Patches` gather, and it folds images into one GEMM. Images go in
+//! groups of `G = min(N, ceil(NC / (H·W)))` ([`pointwise_group`], a pure
+//! function of shape), so each forward and input-gradient GEMM covers
+//! about `NC` columns instead of `H·W`, which in late stages is 1–16. A
+//! group of one reads and writes the image slices in place; larger groups
+//! stage their operand as `[C][G·H·W]` in arena scratch and scatter the
+//! result back. The kernel (naive or blocked) and the precision are still
+//! chosen from the *per-image* `(m, k, H·W)`, and the dispatch counters
+//! count one call per group. When a naive GEMM would have fewer than
+//! `NR` columns it computes `Cᵀ = BᵀAᵀ` instead, so its inner loop runs
+//! along the channels. The weight gradient keeps one partial per image;
+//! its naive slots read a staged `X_iᵀ` so their inner loop runs along
+//! `C_in`, and its blocked slots read `X_i` directly.
+//!
+//! Determinism: every reduction has a fixed association. Both kernels
+//! reduce each output element over `k` in an order fixed by `k` alone:
+//! the naive kernels add the products in ascending `p` onto a zero, the
+//! blocked kernel adds one partial sum per `KC` block in ascending block
+//! order. That order does not depend on `n`, on the column block, or on
+//! which operand is transposed, and `a·b = b·a` exactly, so grouping
+//! images, reading the image instead of a patch copy, and the transposed
+//! small-`n` form all give the bits of the per-image im2col path, on
+//! either kernel and either precision. The per-image `dw` partial for
+//! image `i` is always exactly `dY_i · patches_iᵀ` (its reduction runs
+//! over that image's pixels, so images are never folded into it), and
+//! partials are combined by a stride-doubling pairwise tree whose shape
+//! depends only on the batch size.
 
 use crate::bf16::{round_f32, Bf16};
 use crate::ops::dispatch::{self, GemmPrecision};
 use crate::ops::gemm_blocked::{
-    gemm_prepacked_as, pack_a_into_as, packed_a_len, PackElem, PanelA, PanelB,
+    gemm_prepacked_as, pack_a_into_as, packed_a_len, PackElem, PanelA, PanelB, NC, NR,
 };
-use crate::ops::matmul::gemm_slice;
-use crate::scratch::{scratch_elems, scratch_f32, scratch_f32_zeroed};
+use crate::ops::matmul::{gemm_at_b_slice, gemm_slice, gemm_slice_acc};
+use crate::scratch::{scratch_elems, scratch_f32, scratch_f32_zeroed, ScratchVec};
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -92,6 +118,13 @@ impl Conv2dGeom {
     #[inline]
     pub fn p(&self) -> usize {
         self.h_out * self.w_out
+    }
+
+    /// 1×1 kernel, stride 1, no padding: the patch matrix of an image is
+    /// the image's `C_in×(H·W)` slice itself.
+    #[inline]
+    pub fn is_pointwise(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.stride == 1 && self.pad == 0
     }
 
     /// Output shape.
@@ -225,7 +258,10 @@ pub fn conv2d_forward_p(
     let out_len = g.c_out * p;
     let xs = x.data();
     let ws = w.data();
-    if dispatch::blocked_profitable(g.c_out, kk, p) {
+    if g.is_pointwise() {
+        let w = PanelA::RowMajor(ws);
+        pointwise_product(&g, precision, w, g.c_out, g.c_in, xs, y.data_mut());
+    } else if dispatch::blocked_profitable(g.c_out, kk, p) {
         dispatch::record_dispatch(precision, true);
         match precision {
             GemmPrecision::F32 => forward_fused::<f32>(&g, xs, ws, y.data_mut()),
@@ -236,16 +272,7 @@ pub fn conv2d_forward_p(
         // Naive streaming path. For bf16 the weight matrix is quantized
         // once per call and each patch matrix in place after gathering,
         // so the result equals quantize-both-operands-then-f32 exactly.
-        let wq = match precision {
-            GemmPrecision::F32 => None,
-            GemmPrecision::Bf16 => {
-                let mut q = scratch_f32(ws.len());
-                for (d, &s) in q.iter_mut().zip(ws.iter()) {
-                    *d = round_f32(s);
-                }
-                Some(q)
-            }
-        };
+        let wq = naive_weights(ws, precision);
         let weights: &[f32] = wq.as_deref().unwrap_or(ws);
         y.data_mut()
             .par_chunks_mut(out_len)
@@ -308,36 +335,40 @@ pub fn conv2d_backward_p(
     let wlen = w.numel();
 
     let mut dx = Tensor::zeros(x.shape().clone());
-
-    // Pass 1 — input gradient, parallel over images (disjoint dx slices):
-    // dPatches = Wᵀ · dY_i (W stored Cout×K), scattered back by col2im.
-    dx.data_mut()
-        .par_chunks_mut(img_len)
-        .enumerate()
-        .for_each(|(i, dximg)| {
-            let dyi = &dys[i * out_len..(i + 1) * out_len];
-            let mut dpatches = scratch_f32(kk * p);
-            dispatch::gemm_auto_at_b_p(precision, kk, g.c_out, p, ws, dyi, &mut dpatches);
-            dximg.iter_mut().for_each(|v| *v = 0.0);
-            col2im(&g, &dpatches, dximg);
-        });
-
-    // Pass 2 — weight gradient: one partial slot per image, parallel over
-    // slots. Slot i holds exactly dY_i · patches_iᵀ (dY_i: Cout×P,
-    // patches: K×P stored row-major = the `n×k` ABᵀ operand), on the
-    // packed accumulating kernel when the shape clears the threshold.
-    // Fixed per-image slots keep the result independent of rayon's work
-    // distribution.
     let mut partials = scratch_f32_zeroed(g.n * wlen);
-    partials
-        .par_chunks_mut(wlen)
-        .enumerate()
-        .for_each(|(i, slot)| {
-            let dyi = &dys[i * out_len..(i + 1) * out_len];
-            let mut patches = scratch_f32(kk * p);
-            im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
-            dispatch::gemm_auto_a_bt_acc_p(precision, g.c_out, p, kk, dyi, &patches, slot);
-        });
+    if g.is_pointwise() {
+        let wt = PanelA::Transposed(ws);
+        pointwise_product(&g, precision, wt, g.c_in, g.c_out, dys, dx.data_mut());
+        pointwise_weight_grad(&g, xs, dys, &mut partials, precision);
+    } else {
+        // Pass 1 — input gradient, per image (disjoint dx slices):
+        // dPatches = Wᵀ · dY_i (W stored Cout×K), scattered back by
+        // col2im onto the zeroed dx.
+        dx.data_mut()
+            .par_chunks_mut(img_len)
+            .enumerate()
+            .for_each(|(i, dximg)| {
+                let dyi = &dys[i * out_len..(i + 1) * out_len];
+                let mut dpatches = scratch_f32(kk * p);
+                dispatch::gemm_auto_at_b_p(precision, kk, g.c_out, p, ws, dyi, &mut dpatches);
+                col2im(&g, &dpatches, dximg);
+            });
+
+        // Pass 2 — weight gradient: one partial slot per image. Slot i
+        // holds exactly dY_i · patches_iᵀ (dY_i: Cout×P, patches: K×P
+        // stored row-major = the `n×k` ABᵀ operand), on the packed
+        // accumulating kernel when the shape clears the threshold. Fixed
+        // per-image slots keep the result independent of scheduling.
+        partials
+            .par_chunks_mut(wlen)
+            .enumerate()
+            .for_each(|(i, slot)| {
+                let dyi = &dys[i * out_len..(i + 1) * out_len];
+                let mut patches = scratch_f32(kk * p);
+                im2col(&g, &xs[i * img_len..(i + 1) * img_len], &mut patches);
+                dispatch::gemm_auto_a_bt_acc_p(precision, g.c_out, p, kk, dyi, &patches, slot);
+            });
+    }
 
     // Pass 3 — stride-doubling pairwise tree over the image slots; the
     // association depends only on the batch size, never on scheduling.
@@ -368,6 +399,280 @@ fn reduce_partials_pairwise(buf: &mut [f32], count: usize, len: usize) {
                 }
             });
         stride *= 2;
+    }
+}
+
+/// Images per GEMM on the pointwise path: enough that one GEMM spans
+/// about [`NC`] columns (one blocked column panel), never more than the
+/// batch. A pure function of shape, like every other kernel decision.
+pub fn pointwise_group(n: usize, hw: usize) -> usize {
+    n.min(NC.div_ceil(hw.max(1))).max(1)
+}
+
+/// Copies images `first..first + cnt` of an `[N][rows][hw]` buffer into
+/// the `[rows][cnt·hw]` matrix one grouped GEMM reads, rounding through
+/// bf16 when `round` is set.
+fn gather_group(
+    src: &[f32],
+    rows: usize,
+    hw: usize,
+    first: usize,
+    cnt: usize,
+    round: bool,
+    dst: &mut [f32],
+) {
+    for r in 0..rows {
+        for i in 0..cnt {
+            let s = &src[((first + i) * rows + r) * hw..][..hw];
+            let d = &mut dst[(r * cnt + i) * hw..][..hw];
+            if round {
+                for (d, &s) in d.iter_mut().zip(s) {
+                    *d = round_f32(s);
+                }
+            } else {
+                d.copy_from_slice(s);
+            }
+        }
+    }
+}
+
+/// Writes a grouped GEMM result back into images `first..first + cnt` of
+/// an `[N][rows][hw]` buffer. `src` is `[rows][cnt·hw]`, or its transpose
+/// `[cnt·hw][rows]` when `transposed`.
+fn scatter_group(
+    src: &[f32],
+    rows: usize,
+    hw: usize,
+    first: usize,
+    cnt: usize,
+    transposed: bool,
+    dst: &mut [f32],
+) {
+    let cols = cnt * hw;
+    for i in 0..cnt {
+        for r in 0..rows {
+            let d = &mut dst[((first + i) * rows + r) * hw..][..hw];
+            if transposed {
+                for (p, v) in d.iter_mut().enumerate() {
+                    *v = src[(i * hw + p) * rows + r];
+                }
+            } else {
+                d.copy_from_slice(&src[r * cols + i * hw..][..hw]);
+            }
+        }
+    }
+}
+
+/// Runs one pointwise product over image groups: `src` is
+/// `[N][in_rows][hw]`, `dst` is `[N][out_rows][hw]`. For each group,
+/// `gemm(inp, out, cols, transposed)` fills `out` from
+/// `inp = [in_rows][cols]`; `out` is `[out_rows][cols]`, or
+/// `[cols][out_rows]` when `transposed` (naive kernel, fewer than `NR`
+/// columns). `blocked` is the per-image kernel choice; the naive side
+/// rounds bf16 operands while staging, as the dispatcher's naive side
+/// does, so a group of one is staged there too.
+#[allow(clippy::too_many_arguments)]
+fn pointwise_groups(
+    g: &Conv2dGeom,
+    precision: GemmPrecision,
+    blocked: bool,
+    src: &[f32],
+    in_rows: usize,
+    dst: &mut [f32],
+    out_rows: usize,
+    mut gemm: impl FnMut(&[f32], &mut [f32], usize, bool),
+) {
+    let hw = g.h * g.w;
+    let round = !blocked && precision == GemmPrecision::Bf16;
+    let grp = pointwise_group(g.n, hw);
+    let (in_len, out_len) = (in_rows * hw, out_rows * hw);
+    for first in (0..g.n).step_by(grp) {
+        let cnt = grp.min(g.n - first);
+        let cols = cnt * hw;
+        let transposed = !blocked && cols < NR;
+        dispatch::record_dispatch(precision, blocked);
+        let mut staged;
+        let inp: &[f32] = if cnt == 1 && !round {
+            &src[first * in_len..(first + 1) * in_len]
+        } else {
+            staged = scratch_f32(in_rows * cols);
+            gather_group(src, in_rows, hw, first, cnt, round, &mut staged);
+            &staged
+        };
+        if cnt == 1 && !transposed {
+            gemm(
+                inp,
+                &mut dst[first * out_len..(first + 1) * out_len],
+                cols,
+                false,
+            );
+        } else {
+            let mut out = scratch_f32(out_rows * cols);
+            gemm(inp, &mut out, cols, transposed);
+            scatter_group(&out, out_rows, hw, first, cnt, transposed, dst);
+        }
+    }
+}
+
+/// One pointwise product `C_grp = A · B_grp` per image group, where `A`
+/// is the effective `m×k` weight operand: `W` for the forward pass,
+/// `Wᵀ` (stored as `W`, `PanelA::Transposed`) for the input gradient.
+/// The kernel is chosen from the per-image `(m, k, H·W)`. The blocked
+/// side packs `A` once per call; the naive side quantizes it once under
+/// bf16, and a group with fewer than `NR` columns computes
+/// `Cᵀ = Bᵀ·Aᵀ`, which reads `B` (`k×cols`) and `A` both stored with the
+/// reduction dimension first.
+///
+/// The input gradient is written straight into `dx`, where the im2col
+/// path adds it onto zeros with col2im. Both give the same bits: the
+/// kernels' sums start at `+0` and so are never `-0`, and `+0 + v = v`
+/// for every other `v`.
+#[allow(clippy::too_many_arguments)]
+fn pointwise_product(
+    g: &Conv2dGeom,
+    precision: GemmPrecision,
+    a: PanelA<'_>,
+    m: usize,
+    k: usize,
+    src: &[f32],
+    dst: &mut [f32],
+) {
+    if dispatch::blocked_profitable(m, k, g.h * g.w) {
+        match precision {
+            GemmPrecision::F32 => pointwise_blocked::<f32>(g, precision, a, m, k, src, dst),
+            GemmPrecision::Bf16 => pointwise_blocked::<Bf16>(g, precision, a, m, k, src, dst),
+        }
+        return;
+    }
+    let (ws, stored_k_by_m) = match a {
+        PanelA::RowMajor(ws) => (ws, false),
+        PanelA::Transposed(ws) => (ws, true),
+    };
+    // Built on first use: the weights as stored (quantized under bf16),
+    // and, for a row-major `A` in a turned-around group, `A` re-stored
+    // `k×m` (transposed and quantized in one pass).
+    let (mut wq, mut wt) = (None, None);
+    pointwise_groups(
+        g,
+        precision,
+        false,
+        src,
+        k,
+        dst,
+        m,
+        |b, out, cols, transposed| {
+            if transposed && !stored_k_by_m {
+                let wt = wt.get_or_insert_with(|| {
+                    let mut t = scratch_f32(m * k);
+                    transpose_into(ws, m, k, precision == GemmPrecision::Bf16, &mut t);
+                    t
+                });
+                gemm_at_b_slice(cols, k, m, b, wt, out);
+                return;
+            }
+            let wq = wq.get_or_insert_with(|| naive_weights(ws, precision));
+            let w = wq.as_deref().unwrap_or(ws);
+            match (transposed, stored_k_by_m) {
+                (true, _) => gemm_at_b_slice(cols, k, m, b, w, out),
+                (false, true) => gemm_at_b_slice(m, k, cols, w, b, out),
+                (false, false) => gemm_slice(m, k, cols, w, b, out),
+            }
+        },
+    );
+}
+
+/// Blocked side of [`pointwise_product`]: `a` is packed once per call and
+/// reused by every image group.
+#[allow(clippy::too_many_arguments)]
+fn pointwise_blocked<E: PackElem>(
+    g: &Conv2dGeom,
+    precision: GemmPrecision,
+    a: PanelA<'_>,
+    m: usize,
+    k: usize,
+    src: &[f32],
+    dst: &mut [f32],
+) {
+    let mut ap = scratch_elems::<E>(packed_a_len(m, k));
+    pack_a_into_as::<E>(a, m, k, &mut ap);
+    pointwise_groups(g, precision, true, src, k, dst, m, |b, out, cols, _| {
+        gemm_prepacked_as::<E>(m, k, cols, &ap, PanelB::RowMajor(b), out, false);
+    });
+}
+
+/// Pointwise weight gradient: slot `i` of `partials` (zeroed) receives
+/// exactly `dY_i · X_iᵀ`, one slot per image, for the pairwise tree to
+/// fold. Blocked slots read `X_i` in place as the stored-`n×k` operand;
+/// naive slots stage `X_iᵀ` and run a plain `A·B`, so the inner loop runs
+/// along `C_in` rather than along the `H·W` reduction. That `A·B` adds
+/// the products onto the zeroed slot in the same ascending-`p` order as
+/// the `ABᵀ` kernel's dot product, whose sum then lands on the zero.
+fn pointwise_weight_grad(
+    g: &Conv2dGeom,
+    xs: &[f32],
+    dys: &[f32],
+    partials: &mut [f32],
+    precision: GemmPrecision,
+) {
+    let (ci, co, hw) = (g.c_in, g.c_out, g.h * g.w);
+    let (img_len, out_len) = (ci * hw, co * hw);
+    let slots = partials.chunks_mut(co * ci).enumerate();
+    if dispatch::blocked_profitable(co, hw, ci) {
+        for (i, slot) in slots {
+            let dyi = &dys[i * out_len..(i + 1) * out_len];
+            let xi = &xs[i * img_len..(i + 1) * img_len];
+            dispatch::gemm_auto_a_bt_acc_p(precision, co, hw, ci, dyi, xi, slot);
+        }
+        return;
+    }
+    let round = precision == GemmPrecision::Bf16;
+    let mut xt = scratch_f32(hw * ci);
+    let mut dyq = scratch_f32(if round { out_len } else { 0 });
+    for (i, slot) in slots {
+        dispatch::record_dispatch(precision, false);
+        transpose_into(&xs[i * img_len..(i + 1) * img_len], ci, hw, round, &mut xt);
+        let mut dyi = &dys[i * out_len..(i + 1) * out_len];
+        if round {
+            for (d, &s) in dyq.iter_mut().zip(dyi) {
+                *d = round_f32(s);
+            }
+            dyi = &dyq;
+        }
+        gemm_slice_acc(co, hw, ci, dyi, &xt, slot);
+    }
+}
+
+/// `dst[c][r] = src[r][c]` for a row-major `rows×cols` `src`, rounded
+/// through bf16 when `round`. Runs in square tiles so that both the reads
+/// and the writes stay within a few cache lines at a time.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, round: bool, dst: &mut [f32]) {
+    const TILE: usize = 16;
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), rows * cols);
+    for r0 in (0..rows).step_by(TILE) {
+        for c0 in (0..cols).step_by(TILE) {
+            for r in r0..rows.min(r0 + TILE) {
+                for c in c0..cols.min(c0 + TILE) {
+                    let v = src[r * cols + c];
+                    dst[c * rows + r] = if round { round_f32(v) } else { v };
+                }
+            }
+        }
+    }
+}
+
+/// The weights a naive conv GEMM reads: quantized once per call into
+/// arena scratch under bf16, `None` (use them as stored) under f32.
+fn naive_weights(ws: &[f32], precision: GemmPrecision) -> Option<ScratchVec<f32>> {
+    match precision {
+        GemmPrecision::F32 => None,
+        GemmPrecision::Bf16 => {
+            let mut q = scratch_f32(ws.len());
+            for (d, &s) in q.iter_mut().zip(ws.iter()) {
+                *d = round_f32(s);
+            }
+            Some(q)
+        }
     }
 }
 

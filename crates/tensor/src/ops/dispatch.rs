@@ -373,7 +373,9 @@ mod tests {
         // Width-0.25 model at resolution 32: head linear and the larger
         // pointwise convs must still clear the threshold so trainer-level
         // dispatch-coverage tests are meaningful.
-        // e.g. pointwise conv: m=C_out=16, k=C_in=96, n=H*W*batch rows.
+        // e.g. pointwise conv: m=C_out=16, k=C_in=96, n=H*W of one image
+        // (a 16×16 map). The conv decides the kernel per image even when
+        // it folds several images into one GEMM.
         assert!(blocked_profitable(16, 96, 16 * 16));
     }
 
